@@ -57,6 +57,7 @@ from .profiles import (
     GroupSpec,
     InvestorYearProfile,
     ProfileOptions,
+    SectorActivity,
     StrategyVector,
     build_profiles,
     group_profiles,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import metrics, pca, reports, svgplot, synth, tca
@@ -21,7 +22,13 @@ from .ingest import (
     load_dataset,
     validate_dataset,
 )
-from .profiles import GroupSpec, ProfileOptions, build_profiles, stage_partition
+from .profiles import (
+    GroupSpec,
+    ProfileOptions,
+    SectorActivity,
+    build_profiles,
+    stage_partition,
+)
 
 STAGE_FLAGS = {
     "seed": StageClass.SEED,
@@ -31,27 +38,18 @@ STAGE_FLAGS = {
 }
 
 
-def _parse_years(text: str) -> range:
+def _parse_range(text: str, minimum: int | None = None) -> range:
+    """Inclusive ``FIRST:LAST`` range; a lone ``N`` means ``N:N``."""
     lo, _, hi = text.partition(":")
     try:
         first = int(lo)
         last = int(hi) if hi else first
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad year range {text!r}; expected START:END")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected FIRST:LAST")
     if last < first:
-        raise argparse.ArgumentTypeError(f"year range {text!r} is reversed")
-    return range(first, last + 1)
-
-
-def _parse_int_range(text: str) -> range:
-    lo, _, hi = text.partition(":")
-    try:
-        first = int(lo)
-        last = int(hi) if hi else first
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected LO:HI")
-    if first < 1 or last < first:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        raise argparse.ArgumentTypeError(f"range {text!r} is reversed")
+    if minimum is not None and first < minimum:
+        raise argparse.ArgumentTypeError(f"range {text!r} starts below {minimum}")
     return range(first, last + 1)
 
 
@@ -187,21 +185,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _run_profiles(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
-    profiles = build_profiles(dataset, options=_options(config))
+def _run_profiles(config: PipelineConfig, dataset: ValidatedDataset,
+                  activity: SectorActivity) -> dict:
+    profiles = build_profiles(activity, options=_options(config))
     reports.write_profiles(config.out / "profiles.csv", profiles)
     return {"profiles": len(profiles)}
 
 
-def _run_pca(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
+def _run_pca(config: PipelineConfig, dataset: ValidatedDataset,
+            activity: SectorActivity) -> dict:
     options = _options(config)
-    profiles = build_profiles(dataset, options=replace(options, stage_filter=None))
+    profiles = build_profiles(activity, options=replace(options, stage_filter=None))
     model = pca.fit_on_profiles(profiles, config.pca_dim)
     sectors = options.effective_sectors(dataset.ontology)
     reports.write_pca_loadings(config.out / "pca_loadings.csv", model, sectors)
 
     trajectories = {"all": pca.barycenter_trajectory(profiles, model)}
-    for stage, stage_profiles in stage_partition(dataset, options=options).items():
+    for stage, stage_profiles in stage_partition(activity, options=options).items():
         if stage_profiles:
             trajectories[stage.value] = pca.barycenter_trajectory(
                 stage_profiles, model, stage=stage
@@ -228,9 +228,10 @@ def _run_pca(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
     }
 
 
-def _run_tca(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
+def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
+            activity: SectorActivity) -> dict:
     options = replace(_options(config), exclude_sectors=frozenset())
-    profiles = build_profiles(dataset, options=options)
+    profiles = build_profiles(activity, options=options)
     years = sorted({p.year for p in profiles})
     tensor = tca.build_tensor(profiles, years, dataset.ontology)
     feasible = [r for r in config.r_range if r <= min(tensor.values.shape[0],
@@ -286,8 +287,9 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
     }
 
 
-def _run_distances(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
-    profiles = build_profiles(dataset, options=replace(_options(config), stage_filter=None))
+def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
+                   activity: SectorActivity) -> dict:
+    profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
     present = sorted({
         dataset.investor_by_id[p.investor_id].type_label
         for p in profiles if p.investor_id in dataset.investor_by_id
@@ -327,8 +329,9 @@ def _run_distances(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
     }
 
 
-def _run_spread(config: PipelineConfig, dataset: ValidatedDataset) -> dict:
-    profiles = build_profiles(dataset, options=replace(_options(config), stage_filter=None))
+def _run_spread(config: PipelineConfig, dataset: ValidatedDataset,
+                activity: SectorActivity) -> dict:
+    profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
     model = pca.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model, *config.grid)
     reports.write_heatmaps(config.out, grid)
@@ -372,7 +375,7 @@ def _run_stage(name: str):
         config = _config(args)
         config.out.mkdir(parents=True, exist_ok=True)
         dataset = _load(config)
-        results = _STAGES[name](config, dataset)
+        results = _STAGES[name](config, dataset, SectorActivity.from_dataset(dataset))
         _manifest(config, name, results)
         print(f"{name}: wrote artifacts to {config.out}")
         return 0
@@ -384,7 +387,8 @@ def cmd_all(args) -> int:
     config = _config(args)
     config.out.mkdir(parents=True, exist_ok=True)
     dataset = _load(config)
-    results = {name: run(config, dataset) for name, run in _STAGES.items()}
+    activity = SectorActivity.from_dataset(dataset)
+    results = {name: run(config, dataset, activity) for name, run in _STAGES.items()}
     _manifest(config, "all", results)
     print(f"all: wrote artifacts to {config.out}")
     return 0
@@ -420,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rounds", help="rounds.csv path")
     common.add_argument("--investors", help="investors.csv path")
     common.add_argument("--ontology", help="ontology JSON path (default: packaged)")
-    common.add_argument("--years", type=_parse_years, default=range(2000, 2018),
+    common.add_argument("--years", type=_parse_range, default=range(2000, 2018),
                         metavar="FIRST:LAST", help="inclusive year window")
     common.add_argument("--country", default="USA")
     common.add_argument("--exclude-sector", action="append", metavar="TAG",
@@ -428,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "pass an empty string to keep everything)")
     common.add_argument("--stage", choices=sorted(STAGE_FLAGS), default=None)
     common.add_argument("--pca-dim", type=int, default=2)
-    common.add_argument("--r-range", type=_parse_int_range, default=range(1, 9),
-                        metavar="LO:HI")
+    common.add_argument("--r-range", type=partial(_parse_range, minimum=1),
+                        default=range(1, 9), metavar="LO:HI")
     common.add_argument("--restarts", type=int, default=8)
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--seed", type=int, default=0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,18 +171,31 @@ def _split_list(text: str) -> tuple[str, ...]:
 
 
 def _read_rows(path, columns: list[str]):
+    """Yield ``(row number, values of columns)`` for each non-blank data row.
+
+    Row numbers count the header as row 1 and skip blank lines.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file")
-        missing = [c for c in columns if c not in reader.fieldnames]
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in position]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        for row_no, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in columns):
+        picks = [position[c] for c in columns]
+        pick = operator.itemgetter(*picks)
+        width = max(picks) + 1
+        row_no = 1
+        for row in reader:
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < width:
                 raise SchemaError(f"{path}:{row_no}: short row")
-            yield row_no, row
+            yield row_no, pick(row)
 
 
 def load_dataset(startups_path, rounds_path, investors_path,
@@ -196,48 +210,50 @@ def load_dataset(startups_path, rounds_path, investors_path,
 
     startups: list[RawStartup] = []
     seen_startups: set[str] = set()
-    for row_no, row in _read_rows(startups_path, STARTUP_COLUMNS):
+    for row_no, (sid, name, country, status, founded, tags) in _read_rows(
+            startups_path, STARTUP_COLUMNS):
         where = f"{startups_path}:{row_no}"
-        sid = row["startup_id"].strip()
+        sid = sid.strip()
         if not sid:
             raise SchemaError(f"{where}: empty startup_id")
         if sid in seen_startups:
             raise SchemaError(f"{where}: duplicate startup_id {sid!r}")
         seen_startups.add(sid)
         try:
-            status = StartupStatus(row["status"].strip().lower())
+            status_class = StartupStatus(status.strip().lower())
         except ValueError:
-            raise SchemaError(f"{where}: unknown status {row['status']!r}") from None
+            raise SchemaError(f"{where}: unknown status {status!r}") from None
         startups.append(RawStartup(
             startup_id=sid,
-            name=row["name"],
-            country_code=row["country_code"].strip(),
-            status=status,
-            founded_date=_parse_date(row["founded_date"], where),
-            tags=_split_list(row["tags"]),
+            name=name,
+            country_code=country.strip(),
+            status=status_class,
+            founded_date=_parse_date(founded, where),
+            tags=_split_list(tags),
         ))
 
     investors: list[RawInvestor] = []
     seen_investors: set[str] = set()
-    for row_no, row in _read_rows(investors_path, INVESTOR_COLUMNS):
+    for row_no, (iid, name, type_text) in _read_rows(investors_path, INVESTOR_COLUMNS):
         where = f"{investors_path}:{row_no}"
-        iid = row["investor_id"].strip()
+        iid = iid.strip()
         if not iid:
             raise SchemaError(f"{where}: empty investor_id")
         if iid in seen_investors:
             raise SchemaError(f"{where}: duplicate investor_id {iid!r}")
         seen_investors.add(iid)
-        type_label = row["type_label"].strip().lower()
+        type_label = type_text.strip().lower()
         if type_label not in INVESTOR_TYPES:
-            raise SchemaError(f"{where}: unknown investor type {row['type_label']!r}")
-        investors.append(RawInvestor(investor_id=iid, name=row["name"], type_label=type_label))
+            raise SchemaError(f"{where}: unknown investor type {type_text!r}")
+        investors.append(RawInvestor(investor_id=iid, name=name, type_label=type_label))
 
     rounds: list[RawRound] = []
     seen_rounds: set[str] = set()
     dangling: list[str] = []
-    for row_no, row in _read_rows(rounds_path, ROUND_COLUMNS):
+    for row_no, (rid, sid, announced, stage, amount, members) in _read_rows(
+            rounds_path, ROUND_COLUMNS):
         where = f"{rounds_path}:{row_no}"
-        rid = row["round_id"].strip()
+        rid = rid.strip()
         if not rid:
             raise SchemaError(f"{where}: empty round_id")
         if rid in seen_rounds:
@@ -245,11 +261,11 @@ def load_dataset(startups_path, rounds_path, investors_path,
         seen_rounds.add(rid)
         record = RawRound(
             round_id=rid,
-            startup_id=row["startup_id"].strip(),
-            announced_date=_parse_date(row["announced_date"], where),
-            stage_label=row["stage_label"].strip(),
-            amount_usd=_parse_amount(row["amount_usd"], where),
-            investor_ids=_split_list(row["investor_ids"]),
+            startup_id=sid.strip(),
+            announced_date=_parse_date(announced, where),
+            stage_label=stage.strip(),
+            amount_usd=_parse_amount(amount, where),
+            investor_ids=_split_list(members),
         )
         if record.startup_id not in seen_startups:
             dangling.append(f"round {rid!r} -> startup {record.startup_id!r}")

@@ -168,6 +168,8 @@ def project_sigma(model: PCAModel, sigma: np.ndarray) -> np.ndarray:
     Projection is affine, z = A (x - mu) / s, so the variance along axis a
     is sum_k (A[a,k]/s_k)^2 sigma_k^2 for independent coordinate errors.
     """
+    if model.params is None:
+        raise AnalysisError("model carries no standardization params")
     scaled = model.axes / model.params.safe_stds
     if model.params.constant_columns:
         scaled = scaled.copy()

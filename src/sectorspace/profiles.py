@@ -5,11 +5,18 @@ parent tags, every participating investor books 1/k of a round (and 1/k of
 the amount) in each tag. An investor participating in a round counts the
 round fully in its own tally, independent of co-investors. Amounts ride
 along for reporting but are not used by the geometric analyses.
+
+A dataset is accumulated once into a :class:`SectorActivity`: round and
+amount arrays indexed by investor, year, stage slot (all rounds, then one
+slot per :class:`StageClass`) and parent sector. Every profile view is a
+slice of those arrays: :func:`build_profiles` picks the stage slot, the
+years window and the kept sectors, and :func:`stage_partition` slices the
+four stage slots of the same accumulation.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,71 +130,159 @@ def split_round(rnd: RawRound, parents, participation: float = 1.0
     return [(tag, participation / k, participation * amount / k) for tag in parents]
 
 
-def build_profiles(dataset: ValidatedDataset, ontology: SectorOntology | None = None,
+STAGE_SLOTS = {stage: slot for slot, stage in enumerate(StageClass, start=1)}
+N_SLOTS = len(STAGE_SLOTS) + 1
+
+
+@dataclass(frozen=True, eq=False)
+class SectorActivity:
+    """Every round's split booked once per investor, year, stage slot and sector.
+
+    ``rounds`` and ``amounts`` have shape (investor, year, slot, sector):
+    slot 0 books every round and slot ``STAGE_SLOTS[stage]`` only the
+    rounds of that stage, so rounds with an unclassifiable label appear in
+    slot 0 alone. Sectors follow ``ontology.parent_tags``; investors are
+    the ids that occur in the rounds, sorted; ``years`` are the distinct
+    round years, ascending. ``unclassified`` lists (year, stage label) of
+    each unclassifiable round, for strict-stage checks.
+    """
+
+    ontology: SectorOntology
+    investor_ids: tuple[str, ...]
+    years: np.ndarray
+    rounds: np.ndarray
+    amounts: np.ndarray
+    unclassified: tuple[tuple[int, str], ...]
+
+    @classmethod
+    def from_dataset(cls, dataset: ValidatedDataset,
+                     ontology: SectorOntology | None = None) -> "SectorActivity":
+        """Accumulate ``dataset`` in one pass.
+
+        Each distinct tag set of a funded startup is resolved once and each
+        distinct stage label is classified once. Every (round, investor)
+        participation books ``1 / k`` round weight and ``amount / k`` amount
+        weight in each of the k parent tags of its startup (the arithmetic
+        of :func:`split_round`). ``np.bincount`` adds the entries in round
+        order, so every cell holds the sum a round-by-round loop produces,
+        bit for bit. Rounds whose startup has no classified parent are
+        excluded with one log record.
+        """
+        if ontology is None:
+            ontology = dataset.ontology
+        rounds = dataset.rounds
+        sector_index = {tag: i for i, tag in enumerate(ontology.parent_tags)}
+
+        startup_by_id = dataset.startup_by_id
+        round_tags = [startup_by_id[r.startup_id].tags for r in rounds]
+        tag_rows = dict.fromkeys(round_tags)
+        parent_lists = []
+        for row, tags in enumerate(tag_rows):
+            parents, _ = ontology.resolve(tags)
+            parent_lists.append(sorted(sector_index[tag] for tag in parents))
+            tag_rows[tags] = row
+        n_parents = np.array([len(p) for p in parent_lists], dtype=np.intp)
+        parent_start = np.concatenate(([0], np.cumsum(n_parents)[:-1]))
+        parent_flat = np.array([i for p in parent_lists for i in p], dtype=np.intp)
+
+        label_slots = {label: STAGE_SLOTS.get(classify_stage(label), 0)
+                       for label in {r.stage_label for r in rounds}}
+
+        n = len(rounds)
+        tag_row = np.fromiter((tag_rows[tags] for tags in round_tags), np.intp, n)
+        slot = np.fromiter((label_slots[r.stage_label] for r in rounds), np.intp, n)
+        year = np.fromiter((r.announced_date.year for r in rounds), np.intp, n)
+        amount = np.fromiter((r.amount_usd or 0.0 for r in rounds), float, n)
+        n_members = np.fromiter((len(r.investor_ids) for r in rounds), np.intp, n)
+        members = [iid for r in rounds for iid in r.investor_ids]
+        investor_ids = tuple(sorted(set(members)))
+        investor_rows = {iid: i for i, iid in enumerate(investor_ids)}
+        years, year_row = np.unique(year, return_inverse=True)
+        unclassified = tuple((int(year[i]), rounds[i].stage_label)
+                             for i in np.flatnonzero(slot == 0))
+
+        k = n_parents[tag_row]
+        sinks = np.flatnonzero(k == 0)
+        if sinks.size:
+            logger.warning("%d round(s) have no classified sectors and are excluded: %s",
+                           sinks.size, ", ".join(rounds[i].round_id for i in sinks[:10]))
+
+        # one entry per (participation, parent tag), in round order
+        part_round = np.repeat(np.arange(n), n_members)
+        part_investor = np.fromiter((investor_rows[iid] for iid in members), np.intp,
+                                    len(members))
+        part_k = k[part_round]
+        share_part = np.repeat(np.arange(part_round.size), part_k)
+        share_round = part_round[share_part]
+        offset = np.arange(share_part.size) - np.repeat(np.cumsum(part_k) - part_k, part_k)
+        sector = parent_flat[parent_start[tag_row[share_round]] + offset]
+
+        n_sectors = ontology.n_sectors
+        shape = (len(investor_ids), years.size, N_SLOTS, n_sectors)
+        cell = ((part_investor[share_part] * years.size + year_row[share_round])
+                * N_SLOTS * n_sectors + sector)
+        share_slot = slot[share_round]
+        staged = share_slot > 0
+        cell = np.concatenate((cell, cell[staged] + share_slot[staged] * n_sectors))
+        share_round = np.concatenate((share_round, share_round[staged]))
+        size = int(np.prod(shape))
+        round_w = np.bincount(cell, weights=1.0 / k[share_round], minlength=size)
+        amount_w = np.bincount(cell, weights=amount[share_round] / k[share_round],
+                               minlength=size)
+        return cls(ontology, investor_ids, years, round_w.reshape(shape),
+                   amount_w.reshape(shape), unclassified)
+
+
+def _activity(source, ontology: SectorOntology | None) -> SectorActivity:
+    if not isinstance(source, SectorActivity):
+        return SectorActivity.from_dataset(source, ontology)
+    if ontology is not None and ontology != source.ontology:
+        raise AnalysisError("the activity was accumulated under another ontology")
+    return source
+
+
+def build_profiles(dataset: ValidatedDataset | SectorActivity,
+                   ontology: SectorOntology | None = None,
                    options: ProfileOptions = ProfileOptions()) -> list[InvestorYearProfile]:
     """One profile per (investor, year) with any activity, sorted by id then year.
 
-    Years outside ``options.years`` are skipped, as are rounds whose stage
-    does not match ``options.stage_filter`` (when set). Investor-year pairs
-    with no surviving activity are simply absent.
+    ``dataset`` is a dataset, accumulated here, or a :class:`SectorActivity`
+    already accumulated from one, which is only sliced. Years outside
+    ``options.years`` are skipped, as are rounds whose stage does not match
+    ``options.stage_filter`` (when set). Investor-year pairs with no
+    surviving activity are simply absent.
     """
-    if ontology is None:
-        ontology = dataset.ontology
     if len(options.years) == 0:
         raise AnalysisError("empty years range")
-    sectors = options.effective_sectors(ontology)
-    sector_index = {tag: i for i, tag in enumerate(sectors)}
-    zero_excluded = options.exclude_mode == "zero"
+    activity = _activity(dataset, ontology)
+    if options.strict_stage:
+        for year, label in activity.unclassified:
+            if year in options.years:
+                classify_stage(label, strict=True)
+    in_window = np.array([int(y) in options.years for y in activity.years], dtype=bool)
+    slot = STAGE_SLOTS.get(options.stage_filter, 0)
+    sectors = options.effective_sectors(activity.ontology)
+    columns = [activity.ontology.index(tag) for tag in sectors]
+    rounds = activity.rounds[:, in_window, slot][..., columns]
+    amounts = activity.amounts[:, in_window, slot][..., columns]
+    if options.exclude_mode == "zero":
+        zeroed = [i for i, tag in enumerate(sectors) if tag in options.exclude_sectors]
+        rounds[..., zeroed] = 0.0
+        amounts[..., zeroed] = 0.0
 
-    parents_cache: dict[str, frozenset[str]] = {}
-    acc: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    for rnd in dataset.rounds:
-        year = rnd.announced_date.year
-        if year not in options.years:
-            continue
-        if options.stage_filter is not None:
-            stage = classify_stage(rnd.stage_label, strict=options.strict_stage)
-            if stage is not options.stage_filter:
-                continue
-        elif options.strict_stage:
-            classify_stage(rnd.stage_label, strict=True)
-        parents = parents_cache.get(rnd.startup_id)
-        if parents is None:
-            startup = dataset.startup_by_id[rnd.startup_id]
-            parents, _ = ontology.resolve(startup.tags)
-            parents_cache[rnd.startup_id] = parents
-        shares = split_round(rnd, parents)
-        if not shares:
-            continue
-        for investor_id in rnd.investor_ids:
-            key = (investor_id, year)
-            vectors = acc.get(key)
-            if vectors is None:
-                vectors = (np.zeros(len(sectors)), np.zeros(len(sectors)))
-                acc[key] = vectors
-            rounds_vec, amount_vec = vectors
-            for tag, round_w, amount_w in shares:
-                idx = sector_index.get(tag)
-                if idx is None:
-                    continue  # dropped dimension
-                if zero_excluded and tag in options.exclude_sectors:
-                    continue
-                rounds_vec[idx] += round_w
-                amount_vec[idx] += amount_w
-
-    profiles = []
-    for (investor_id, year) in sorted(acc):
-        rounds_vec, amount_vec = acc[(investor_id, year)]
-        if rounds_vec.sum() <= 0:
-            continue
-        profiles.append(InvestorYearProfile(
-            investor_id=investor_id,
-            year=year,
+    active = rounds.sum(axis=-1) > 0
+    investor_rows, year_rows = np.nonzero(active)
+    years = activity.years[in_window]
+    return [
+        InvestorYearProfile(
+            investor_id=activity.investor_ids[i],
+            year=int(years[j]),
             stage_filter=options.stage_filter,
             vector=StrategyVector(sectors, rounds_vec, amount_vec),
-        ))
-    return profiles
+        )
+        for i, j, rounds_vec, amount_vec in zip(
+            investor_rows.tolist(), year_rows.tolist(), rounds[active], amounts[active])
+    ]
 
 
 def group_profiles(profiles, spec: GroupSpec,
@@ -233,11 +328,13 @@ def share_matrix(profiles) -> tuple[np.ndarray, list[tuple[str, int]]]:
     return rows, labels
 
 
-def stage_partition(dataset: ValidatedDataset, ontology: SectorOntology | None = None,
+def stage_partition(dataset: ValidatedDataset | SectorActivity,
+                    ontology: SectorOntology | None = None,
                     options: ProfileOptions = ProfileOptions()
                     ) -> dict[StageClass, list[InvestorYearProfile]]:
-    """Profiles rebuilt once per stage bucket, for stage-resolved analyses."""
+    """Profiles of each stage bucket, sliced from one accumulation."""
+    activity = _activity(dataset, ontology)
     return {
-        stage: build_profiles(dataset, ontology, replace(options, stage_filter=stage))
+        stage: build_profiles(activity, options=replace(options, stage_filter=stage))
         for stage in StageClass
     }

@@ -46,27 +46,36 @@ def _cell(value) -> str:
     raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
 
-def write_rows(path, header: list[str], rows) -> Path:
-    """Write one CSV atomically; rows may mix str, int, float, date, None."""
+def _write_atomically(path, write) -> Path:
+    """Run ``write(handle)`` on a same-directory temp file, then move it onto ``path``.
+
+    On any failure the temp file is removed and ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"row width {len(row)} does not match header {header}"
-                    )
-                writer.writerow([_cell(v) for v in row])
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def write_rows(path, header: list[str], rows) -> Path:
+    """Write one CSV atomically; rows may mix str, int, float, date, None."""
+    def write(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row width {len(row)} does not match header {header}")
+            writer.writerow([_cell(v) for v in row])
+
+    return _write_atomically(path, write)
 
 
 def write_pca_loadings(path, model: PCAModel, sectors) -> Path:
@@ -196,7 +205,10 @@ def sha256_digest(path) -> str:
 
 def write_manifest(path, command: str, config: dict, inputs: dict[str, str | Path],
                    results: dict | None = None) -> Path:
-    """Record what ran: config echo, package version, input digests, key results."""
+    """Record what ran: config echo, package version, input digests, key results.
+
+    Written atomically, like the CSVs.
+    """
     manifest = {
         "command": command,
         "version": VERSION,
@@ -207,8 +219,8 @@ def write_manifest(path, command: str, config: dict, inputs: dict[str, str | Pat
         },
         "results": results or {},
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    def write(handle):
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+    return _write_atomically(path, write)

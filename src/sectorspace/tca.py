@@ -18,7 +18,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+# numpy loads np.random on first use; load it here, with the package, so the
+# import never starts mid-run, where a signal handler that uses np.random
+# would re-enter it
+import numpy.random  # noqa: F401
 
 from .errors import AnalysisError
 from .ingest import RawInvestor
@@ -264,6 +267,8 @@ def factor_match_score(model_a: CPModel, model_b: CPModel) -> float:
         if f1.shape[0] != f2.shape[0]:
             raise AnalysisError("factor match needs models of equal shape")
         score = score * np.abs(f1.T @ f2)
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
+
     rows, cols = linear_sum_assignment(-score)
     return float(score[rows, cols].mean())
 

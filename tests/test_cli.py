@@ -241,6 +241,22 @@ class TestAll:
         for name, record in manifest["inputs"].items():
             assert record["sha256"] == sha256_digest(record["path"]), name
 
+    def test_resolves_each_startup_at_most_once(self, smoke_dir, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        resolve = SectorOntology.resolve
+
+        def counting(ontology, tags):
+            calls.append(tuple(tags))
+            return resolve(ontology, tags)
+
+        monkeypatch.setattr(SectorOntology, "resolve", counting)
+        assert self.run_all(smoke_dir, tmp_path / "out") == 0
+        with (smoke_dir / "startups.csv").open(newline="", encoding="utf-8") as handle:
+            n_startups = sum(1 for _ in csv.DictReader(handle))
+        assert 0 < len(calls) <= n_startups
+        assert len(set(calls)) == len(calls)
+
     def test_reruns_byte_identical(self, smoke_dir, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"
         assert self.run_all(smoke_dir, first) == 0

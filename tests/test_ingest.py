@@ -138,6 +138,23 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="empty file"):
             load_dataset(empty, good[1], good[2])
 
+    def test_blank_lines_skipped_and_not_numbered(self, tmp_path):
+        rounds = "\n" + GOOD_ROUNDS.replace("\n", "\n\n", 1)
+        paths = write_tables(tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3]
+        assert [r.round_id for r in load_dataset(*paths).rounds] == ["r1", "r2", "r3"]
+        short = rounds + "\nr4,s1,2013-01-01\n"
+        paths = write_tables(tmp_path, GOOD_STARTUPS, short, GOOD_INVESTORS)[:3]
+        with pytest.raises(SchemaError, match=r"rounds\.csv:5: short row"):
+            load_dataset(*paths)
+
+    def test_columns_in_any_order(self, tmp_path):
+        paths = write_tables(tmp_path, GOOD_STARTUPS, GOOD_ROUNDS, GOOD_INVESTORS)
+        paths[2].write_text("type_label,extra,investor_id,name\n"
+                            "vc,x,i1,Fund A\naccelerator,y,i2,Prog B\n", encoding="utf-8")
+        dataset = load_dataset(*paths[:3])
+        assert [(i.investor_id, i.name, i.type_label) for i in dataset.investors] == [
+            ("i1", "Fund A", "vc"), ("i2", "Prog B", "accelerator")]
+
     def test_explicit_ontology(self, tmp_path, small_ontology):
         paths = write_tables(
             tmp_path,

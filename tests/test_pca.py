@@ -129,6 +129,13 @@ class TestFitPCA:
         with pytest.raises(AnalysisError, match="standardization"):
             project(bare, np.zeros(4))
 
+    def test_project_sigma_needs_params(self):
+        rng = np.random.default_rng(12)
+        standardized, _ = standardize(rng.random((10, 4)))
+        bare = fit_pca(standardized, 2)
+        with pytest.raises(AnalysisError, match="standardization"):
+            project_sigma(bare, np.ones(4))
+
 
 @settings(deadline=None, max_examples=30)
 @given(arrays(np.float64, st.tuples(st.integers(5, 20), st.integers(2, 8)),

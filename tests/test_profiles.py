@@ -2,17 +2,22 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorspace.errors import AnalysisError
-from sectorspace.ingest import StageClass, ValidatedDataset
+from sectorspace.errors import AnalysisError, StageError
+from sectorspace.ingest import StageClass, ValidatedDataset, classify_stage
 from sectorspace.profiles import (
     GroupSpec,
+    InvestorYearProfile,
     ProfileOptions,
+    SectorActivity,
+    StrategyVector,
     build_profiles,
     group_profiles,
     share_matrix,
@@ -192,6 +197,115 @@ def test_mass_conservation(data):
     profiles = build_profiles(dataset, options=NO_EXCLUDE)
     total = sum(p.vector.n_rounds for p in profiles)
     assert total == pytest.approx(sum(len(r.investor_ids) for r in rounds), abs=1e-9)
+
+
+def reference_profiles(dataset, options):
+    """Round-by-round accumulation, kept as the oracle for the array path."""
+    ontology = dataset.ontology
+    sectors = options.effective_sectors(ontology)
+    sector_index = {tag: i for i, tag in enumerate(sectors)}
+    acc = {}
+    for rnd in dataset.rounds:
+        year = rnd.announced_date.year
+        if year not in options.years:
+            continue
+        if options.stage_filter is not None:
+            stage = classify_stage(rnd.stage_label, strict=options.strict_stage)
+            if stage is not options.stage_filter:
+                continue
+        elif options.strict_stage:
+            classify_stage(rnd.stage_label, strict=True)
+        parents, _ = ontology.resolve(dataset.startup_by_id[rnd.startup_id].tags)
+        parents = sorted(parents)
+        if not parents:
+            continue
+        k = len(parents)
+        amount = rnd.amount_usd or 0.0
+        participation = 1.0
+        for investor_id in rnd.investor_ids:
+            rounds_vec, amount_vec = acc.setdefault(
+                (investor_id, year), (np.zeros(len(sectors)), np.zeros(len(sectors))))
+            for tag in parents:
+                idx = sector_index.get(tag)
+                if idx is None:
+                    continue
+                if options.exclude_mode == "zero" and tag in options.exclude_sectors:
+                    continue
+                rounds_vec[idx] += participation / k
+                amount_vec[idx] += participation * amount / k
+    return [
+        InvestorYearProfile(iid, year, options.stage_filter,
+                            StrategyVector(sectors, *acc[(iid, year)]))
+        for iid, year in sorted(acc) if acc[(iid, year)][0].sum() > 0
+    ]
+
+
+def assert_same_profiles(got, expected):
+    assert [(p.investor_id, p.year, p.stage_filter) for p in got] == [
+        (p.investor_id, p.year, p.stage_filter) for p in expected]
+    for a, b in zip(got, expected):
+        assert type(a.year) is int
+        assert a.vector.sectors == b.vector.sectors
+        assert a.vector.rounds_by_sector.tobytes() == b.vector.rounds_by_sector.tobytes()
+        assert a.vector.amount_by_sector.tobytes() == b.vector.amount_by_sector.tobytes()
+
+
+STAGE_LABELS = ["seed", "Series A", "series-b", "Series C", "series f", "pre-seed", "bridge"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_slices_match_round_by_round_oracle(data):
+    """Every view equals the round-by-round loop bit for bit."""
+    ontology = make_ontology(child_map={"Platform": {"Alpha", "Gamma"}})
+    tag_pool = list(TAGS4) + ["Platform", "Unknown"]  # "Unknown" has no parent
+    n_startups = data.draw(st.integers(1, 6))
+    startups = [make_startup(f"s{i}", data.draw(st.lists(st.sampled_from(tag_pool),
+                                                         max_size=4)))
+                for i in range(n_startups)]
+    investor_ids = [f"i{j}" for j in range(4)]
+    rounds = [
+        make_round(
+            f"r{k}", f"s{data.draw(st.integers(0, n_startups - 1))}",
+            data.draw(st.integers(2005, 2012)),
+            data.draw(st.lists(st.sampled_from(investor_ids), max_size=4)),
+            stage=data.draw(st.sampled_from(STAGE_LABELS)),
+            amount=data.draw(st.one_of(st.none(), st.floats(0, 1e9),
+                                       st.sampled_from([1e6, 2.5e6, 123456.789]))),
+        )
+        for k in range(data.draw(st.integers(0, 30)))
+    ]
+    dataset = make_dataset(startups, rounds,
+                           [make_investor(iid) for iid in investor_ids], ontology)
+    first = data.draw(st.integers(2004, 2012))
+    options = ProfileOptions(
+        exclude_sectors=frozenset(data.draw(st.sets(st.sampled_from(
+            list(TAGS4) + ["Nowhere"])))),
+        exclude_mode=data.draw(st.sampled_from(["drop", "zero"])),
+        stage_filter=data.draw(st.sampled_from([None, *StageClass])),
+        years=range(first, data.draw(st.integers(first + 1, 2014))),
+        strict_stage=data.draw(st.booleans()),
+    )
+
+    try:
+        expected = reference_profiles(dataset, options)
+    except StageError as exc:
+        with pytest.raises(StageError, match=re.escape(str(exc))):
+            build_profiles(dataset, options=options)
+        return
+    assert_same_profiles(build_profiles(dataset, options=options), expected)
+    activity = SectorActivity.from_dataset(dataset)
+    assert_same_profiles(build_profiles(activity, options=options), expected)
+    parts = stage_partition(dataset, options=options)
+    for stage in StageClass:
+        assert_same_profiles(parts[stage], reference_profiles(
+            dataset, replace(options, stage_filter=stage)))
+
+
+def test_activity_rejects_another_ontology(tiny_dataset):
+    activity = SectorActivity.from_dataset(tiny_dataset)
+    with pytest.raises(AnalysisError, match="ontology"):
+        build_profiles(activity, make_ontology(parent_tags=("Alpha", "Beta")))
 
 
 def test_stage_partition_sums_to_unfiltered(tiny_dataset):

@@ -278,6 +278,26 @@ class TestManifest:
         assert manifest["results"] == {"chosen_R": 2}
         assert manifest["inputs"]["rounds"]["sha256"] == sha256_digest(data)
 
+    def test_failed_manifest_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "in.csv"
+        data.write_text("a\n1\n")
+        out = tmp_path / "out"
+        path = write_manifest(out / "manifest_all.json", "all", {}, {"d": data})
+        before = path.read_bytes()
+        # serialization fails part-way through the file
+        with pytest.raises(TypeError):
+            write_manifest(path, "all", {}, {"d": data}, results={"bad": object()})
+        assert sorted(p.name for p in out.iterdir()) == ["manifest_all.json"]
+        assert path.read_bytes() == before
+        # the final move fails
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reports.os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_manifest(out / "manifest_tca.json", "tca", {}, {"d": data})
+        assert sorted(p.name for p in out.iterdir()) == ["manifest_all.json"]
+
     def test_manifest_bytes_deterministic(self, tmp_path):
         data = tmp_path / "in.csv"
         data.write_text("a\n1\n")
