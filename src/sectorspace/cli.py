@@ -137,15 +137,27 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
+def _load_and_filter(config: PipelineConfig, validate: bool
+                     ) -> tuple[ValidatedDataset, ValidatedDataset, list[str]]:
+    """Load the tables and filter them by country.
+
+    Returns the loaded dataset, the filtered one and the warnings of the
+    filtered one, which are computed when ``validate`` is set or under
+    ``--strict-tags`` (empty otherwise). ``--strict-tags`` makes unknown
+    tags an error.
+    """
+    raw = load_dataset(config.startups, config.rounds, config.investors,
+                       config.ontology)
+    dataset = filter_startups(raw, country=config.country)
+    warnings = validate_dataset(dataset) if validate or config.strict_tags else []
+    unknown = [w for w in warnings if "unknown tag" in w]
+    if config.strict_tags and unknown:
+        raise SectorSpaceError("strict tags: " + "; ".join(unknown))
+    return raw, dataset, warnings
+
+
 def _load(config: PipelineConfig) -> ValidatedDataset:
-    dataset = load_dataset(config.startups, config.rounds, config.investors,
-                           config.ontology)
-    dataset = filter_startups(dataset, country=config.country)
-    if config.strict_tags:
-        unknown = [w for w in validate_dataset(dataset) if "unknown tag" in w]
-        if unknown:
-            raise SectorSpaceError("strict tags: " + "; ".join(unknown))
-    return dataset
+    return _load_and_filter(config, validate=False)[1]
 
 
 def _options(config: PipelineConfig) -> ProfileOptions:
@@ -169,14 +181,7 @@ def _manifest(config: PipelineConfig, command: str, results: dict) -> Path:
 
 def cmd_validate(args) -> int:
     config = _config(args)
-    raw = load_dataset(config.startups, config.rounds, config.investors,
-                       config.ontology)
-    filtered = filter_startups(raw, country=config.country)
-    warnings = validate_dataset(filtered)
-    if config.strict_tags and any("unknown tag" in w for w in warnings):
-        raise SectorSpaceError(
-            "strict tags: " + "; ".join(w for w in warnings if "unknown tag" in w)
-        )
+    raw, filtered, warnings = _load_and_filter(config, validate=True)
     for scope, counts in (("loaded", raw.counts), ("filtered", filtered.counts)):
         print(scope + ": " + ", ".join(f"{k}={v}" for k, v in counts.items()))
     for warning in warnings:

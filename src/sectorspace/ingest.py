@@ -8,6 +8,18 @@ File formats (UTF-8 CSV with header row, RFC-4180 quoting):
   (``investor_ids`` pipe-delimited, ``amount_usd`` may be empty = unknown)
 * ``investors.csv`` -- investor_id,name,type_label
 
+The startup and round tables are held as columns. Each CSV is read once
+into one list of cells per column, and each distinct cell value is
+converted once: statuses, dates, tag sets and stage labels become
+:class:`Categorical` columns (codes into the distinct values), amounts a
+float array (NaN = unknown), the startup of each round a row index into
+the startup table, and the investors of each round CSR offsets plus codes
+into the sorted ids that occur in the rounds. :class:`StartupTable` and
+:class:`RoundTable` are read-only sequences of :class:`RawStartup` and
+:class:`RawRound` records, built only when a row is indexed or iterated;
+filtering and accumulation read the columns. The investor table stays a
+tuple of records.
+
 The loaded dataset is immutable by convention and safe to share across
 concurrent readers.
 """
@@ -16,10 +28,15 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
-import operator
+import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import IntegrityError, SchemaError, StageError
 from .ontology import SectorOntology, default_ontology, dump_ontology, load_ontology, resolve_parents
@@ -30,6 +47,9 @@ __all__ = [
     "RawStartup",
     "RawRound",
     "RawInvestor",
+    "Categorical",
+    "StartupTable",
+    "RoundTable",
     "ValidatedDataset",
     "classify_stage",
     "load_dataset",
@@ -92,20 +112,230 @@ class RawInvestor:
     type_label: str
 
 
+@dataclass(frozen=True, eq=False)
+class Categorical:
+    """A column stored as codes into its distinct values.
+
+    Row ``i`` holds ``values[codes[i]]``; every value is used by some row.
+    """
+
+    codes: np.ndarray
+    values: tuple
+
+    @classmethod
+    def encode(cls, cells, convert=None) -> "Categorical":
+        """Encode ``cells``, running ``convert`` once per distinct cell.
+
+        Cells whose converted values are equal share one code; values are
+        numbered in order of first appearance.
+        """
+        code_of = dict.fromkeys(cells)
+        values: dict = {}
+        for cell in code_of:
+            value = cell if convert is None else convert(cell)
+            code_of[cell] = values.setdefault(value, len(values))
+        codes = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
+        return cls(codes, tuple(values))
+
+    def __getitem__(self, row: int):
+        return self.values[self.codes[row]]
+
+    def rows_where(self, predicate) -> np.ndarray:
+        """Mask of the rows whose value satisfies ``predicate`` (called once per value)."""
+        return np.array([bool(predicate(v)) for v in self.values], dtype=bool)[self.codes]
+
+    def take(self, rows: np.ndarray) -> "Categorical":
+        """The given rows, keeping only the values they use."""
+        codes = self.codes[rows]
+        used = np.bincount(codes, minlength=len(self.values)) > 0
+        return Categorical((np.cumsum(used) - 1)[codes], tuple(compress(self.values, used)))
+
+
+def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated indices ``starts[i], ..., starts[i] + lengths[i] - 1`` over ``i``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+class _Table(Sequence):
+    """Read-only sequence of records built from columns on access."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        rows = range(len(self))
+        if isinstance(index, slice):
+            return tuple(map(self._record, rows[index]))
+        return self._record(rows[index])
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class StartupTable(_Table):
+    """The startups as columns, one entry per row."""
+
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    country: Categorical
+    status: Categorical
+    founded: Categorical
+    tags: Categorical
+
+    @classmethod
+    def from_records(cls, records) -> "StartupTable":
+        records = tuple(records)
+        return cls(
+            ids=tuple(s.startup_id for s in records),
+            names=tuple(s.name for s in records),
+            country=Categorical.encode([s.country_code for s in records]),
+            status=Categorical.encode([s.status for s in records]),
+            founded=Categorical.encode([s.founded_date for s in records]),
+            tags=Categorical.encode([s.tags for s in records]),
+        )
+
+    def _record(self, row: int) -> RawStartup:
+        return RawStartup(self.ids[row], self.names[row], self.country[row],
+                          self.status[row], self.founded[row], self.tags[row])
+
+    def take(self, rows: np.ndarray) -> "StartupTable":
+        picked = rows.tolist()
+        return StartupTable(
+            ids=tuple(map(self.ids.__getitem__, picked)),
+            names=tuple(map(self.names.__getitem__, picked)),
+            country=self.country.take(rows),
+            status=self.status.take(rows),
+            founded=self.founded.take(rows),
+            tags=self.tags.take(rows),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class RoundTable(_Table):
+    """The rounds as columns, one entry per row.
+
+    ``startup`` holds each round's row in the startup table whose ids are
+    ``startup_ids``; ``amount`` is NaN where unknown. The investors of round
+    ``i`` are ``investor_vocab[c]`` for ``c`` in
+    ``investor_codes[investor_offsets[i]:investor_offsets[i + 1]]``; the
+    vocabulary is the sorted ids that occur in the rounds.
+    """
+
+    ids: tuple[str, ...]
+    startup: np.ndarray
+    startup_ids: tuple[str, ...]
+    announced: Categorical
+    stage: Categorical
+    amount: np.ndarray
+    investor_offsets: np.ndarray
+    investor_codes: np.ndarray
+    investor_vocab: tuple[str, ...]
+
+    @classmethod
+    def from_columns(cls, ids, startup, startup_ids, announced: Categorical,
+                     stage: Categorical, amount, members: Categorical) -> "RoundTable":
+        """Build the table; ``members`` holds each round's investor id tuple."""
+        vocab = tuple(sorted({iid for ids_ in members.values for iid in ids_}))
+        position = {iid: code for code, iid in enumerate(vocab)}
+        lengths = np.array([len(ids_) for ids_ in members.values], dtype=np.intp)
+        flat = np.fromiter((position[iid] for ids_ in members.values for iid in ids_),
+                           np.intp, int(lengths.sum()))
+        row_lengths = lengths[members.codes]
+        offsets = np.concatenate(([0], np.cumsum(row_lengths))).astype(np.intp)
+        codes = flat[segment_rows((np.cumsum(lengths) - lengths)[members.codes], row_lengths)]
+        return cls(tuple(ids), np.asarray(startup, dtype=np.intp), startup_ids, announced,
+                   stage, np.asarray(amount, dtype=float), offsets, codes, vocab)
+
+    @classmethod
+    def from_records(cls, records, startup_ids: tuple[str, ...]) -> "RoundTable":
+        records = tuple(records)
+        row_of = {sid: row for row, sid in enumerate(startup_ids)}
+        dangling = [f"round {r.round_id!r} -> startup {r.startup_id!r}"
+                    for r in records if r.startup_id not in row_of]
+        if dangling:
+            raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
+        return cls.from_columns(
+            [r.round_id for r in records],
+            [row_of[r.startup_id] for r in records],
+            startup_ids,
+            Categorical.encode([r.announced_date for r in records]),
+            Categorical.encode([r.stage_label for r in records]),
+            [math.nan if r.amount_usd is None else r.amount_usd for r in records],
+            Categorical.encode([tuple(r.investor_ids) for r in records]),
+        )
+
+    @cached_property
+    def year(self) -> np.ndarray:
+        return np.array([d.year for d in self.announced.values], dtype=np.intp)[
+            self.announced.codes]
+
+    def _record(self, row: int) -> RawRound:
+        amount = float(self.amount[row])
+        lo, hi = self.investor_offsets[row], self.investor_offsets[row + 1]
+        return RawRound(
+            self.ids[row], self.startup_ids[self.startup[row]], self.announced[row],
+            self.stage[row], None if math.isnan(amount) else amount,
+            tuple(map(self.investor_vocab.__getitem__, self.investor_codes[lo:hi].tolist())),
+        )
+
+    def take(self, rows: np.ndarray, startup_ids: tuple[str, ...],
+             startup_row: np.ndarray) -> "RoundTable":
+        """The given rows, pointing into a new startup table.
+
+        ``startup_row`` maps each row of the current startup table to its row
+        in the one whose ids are ``startup_ids``.
+        """
+        lengths = np.diff(self.investor_offsets)[rows]
+        codes = self.investor_codes[segment_rows(self.investor_offsets[rows], lengths)]
+        used = np.bincount(codes, minlength=len(self.investor_vocab)) > 0
+        return RoundTable(
+            ids=tuple(map(self.ids.__getitem__, rows.tolist())),
+            startup=startup_row[self.startup[rows]],
+            startup_ids=startup_ids,
+            announced=self.announced.take(rows),
+            stage=self.stage.take(rows),
+            amount=self.amount[rows],
+            investor_offsets=np.concatenate(([0], np.cumsum(lengths))).astype(np.intp),
+            investor_codes=(np.cumsum(used) - 1)[codes],
+            investor_vocab=tuple(compress(self.investor_vocab, used)),
+        )
+
+
 @dataclass
 class ValidatedDataset:
-    """All four tables, parsed and referentially consistent."""
+    """All four tables, parsed and referentially consistent.
 
-    startups: tuple[RawStartup, ...]
-    rounds: tuple[RawRound, ...]
+    ``startups`` and ``rounds`` may be given as records; they are stored as
+    a :class:`StartupTable` and a :class:`RoundTable`.
+    """
+
+    startups: StartupTable
+    rounds: RoundTable
     investors: tuple[RawInvestor, ...]
     ontology: SectorOntology
-    startup_by_id: dict[str, RawStartup] = field(init=False, repr=False)
-    investor_by_id: dict[str, RawInvestor] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.startup_by_id = {s.startup_id: s for s in self.startups}
-        self.investor_by_id = {i.investor_id: i for i in self.investors}
+        if not isinstance(self.startups, StartupTable):
+            self.startups = StartupTable.from_records(self.startups)
+        if not isinstance(self.rounds, RoundTable):
+            self.rounds = RoundTable.from_records(self.rounds, self.startups.ids)
+
+    @cached_property
+    def startup_by_id(self) -> dict[str, RawStartup]:
+        return {s.startup_id: s for s in self.startups}
+
+    @cached_property
+    def investor_by_id(self) -> dict[str, RawInvestor]:
+        return {i.investor_id: i for i in self.investors}
 
     @property
     def counts(self) -> dict[str, int]:
@@ -146,34 +376,69 @@ def classify_stage(stage_label: str, strict: bool = False,
     return default
 
 
-def _parse_date(text: str, where: str) -> dt.date:
+# Cell converters return None for a cell the schema rejects.
+
+def _parse_status(text: str) -> StartupStatus | None:
+    try:
+        return StartupStatus(text.strip().lower())
+    except ValueError:
+        return None
+
+
+def _parse_date(text: str) -> dt.date | None:
     try:
         return dt.date.fromisoformat(text.strip())
     except ValueError:
-        raise SchemaError(f"{where}: unparsable date {text!r}") from None
+        return None
 
 
-def _parse_amount(text: str, where: str) -> float | None:
+def _parse_amount(text: str) -> float | None:
+    """Amount in USD, NaN for an empty cell (unknown); non-finite values are rejected."""
     text = text.strip()
     if not text:
-        return None
+        return math.nan
     try:
         value = float(text)
     except ValueError:
-        raise SchemaError(f"{where}: unparsable amount {text!r}") from None
-    if value < 0:
-        raise SchemaError(f"{where}: negative amount {value}")
-    return value
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _split_list(text: str) -> tuple[str, ...]:
     return tuple(part for part in (p.strip() for p in text.split("|")) if part)
 
 
-def _read_rows(path, columns: list[str]):
-    """Yield ``(row number, values of columns)`` for each non-blank data row.
+def _repeated(items) -> str | None:
+    """The first item that occurs earlier in ``items``, or None."""
+    if len(set(items)) == len(items):
+        return None
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
 
-    Row numbers count the header as row 1 and skip blank lines.
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _first_repeat(ids: list[str]) -> int | None:
+    item = _repeated(ids)
+    return None if item is None else ids.index(item, ids.index(item) + 1)
+
+
+def _find(items: list, item) -> int | None:
+    return items.index(item) if item in items else None
+
+
+def _read_columns(path, columns: list[str]) -> tuple[list[list[str]], int | None]:
+    """Read the cells of ``columns`` into one list per column.
+
+    Blank lines are skipped and not numbered, so data row ``i`` (from 0) is
+    row ``i + 2`` of the file. Reading stops at the first row too short to
+    hold every column; its index is returned (``None`` if there is none),
+    so that a bad row before it is reported first.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -185,17 +450,110 @@ def _read_rows(path, columns: list[str]):
         missing = [c for c in columns if c not in position]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        picks = [position[c] for c in columns]
-        pick = operator.itemgetter(*picks)
-        width = max(picks) + 1
-        row_no = 1
+        cells: list[list[str]] = [[] for _ in columns]
+        picks = [(column.append, position[name]) for column, name in zip(cells, columns)]
+        width = max(i for _, i in picks) + 1
         for row in reader:
-            if not row:
-                continue
-            row_no += 1
             if len(row) < width:
-                raise SchemaError(f"{path}:{row_no}: short row")
-            yield row_no, pick(row)
+                if not row:
+                    continue
+                return cells, len(cells[0])
+            for append, i in picks:
+                append(row[i])
+    return cells, None
+
+
+def _check(path, short_row: int | None, *faults) -> None:
+    """Raise the fault of the earliest bad row.
+
+    ``faults`` are ``(row, describe)`` pairs in the order a row is checked,
+    ``row`` being the first row failing that check (or None) and
+    ``describe(row)`` the message; a short row comes after every row read.
+    """
+    found = [(row, describe) for row, describe in faults if row is not None]
+    if found:
+        row, describe = min(found, key=lambda fault: fault[0])
+        raise SchemaError(f"{path}:{row + 2}: {describe(row)}")
+    if short_row is not None:
+        raise SchemaError(f"{Path(path)}:{short_row + 2}: short row")
+
+
+def _load_startups(path) -> StartupTable:
+    (ids, names, countries, statuses, founded, tags), short_row = _read_columns(
+        path, STARTUP_COLUMNS)
+    ids = list(map(str.strip, ids))
+    status = Categorical.encode(statuses, _parse_status)
+    founded_on = Categorical.encode(founded, _parse_date)
+    _check(
+        path, short_row,
+        (_find(ids, ""), lambda _: "empty startup_id"),
+        (_first_repeat(ids), lambda i: f"duplicate startup_id {ids[i]!r}"),
+        (_first(status.rows_where(lambda v: v is None)),
+         lambda i: f"unknown status {statuses[i]!r}"),
+        (_first(founded_on.rows_where(lambda v: v is None)),
+         lambda i: f"unparsable date {founded[i]!r}"),
+    )
+    return StartupTable(
+        ids=tuple(ids),
+        names=tuple(names),
+        country=Categorical.encode(countries, str.strip),
+        status=status,
+        founded=founded_on,
+        tags=Categorical.encode(tags, _split_list),
+    )
+
+
+def _load_investors(path) -> tuple[RawInvestor, ...]:
+    (ids, names, types), short_row = _read_columns(path, INVESTOR_COLUMNS)
+    ids = list(map(str.strip, ids))
+    labels = [text.strip().lower() for text in types]
+    unknown = [label not in INVESTOR_TYPES for label in labels]
+    _check(
+        path, short_row,
+        (_find(ids, ""), lambda _: "empty investor_id"),
+        (_first_repeat(ids), lambda i: f"duplicate investor_id {ids[i]!r}"),
+        (_find(unknown, True), lambda i: f"unknown investor type {types[i]!r}"),
+    )
+    return tuple(map(RawInvestor, ids, names, labels))
+
+
+def _load_rounds(path, startups: StartupTable,
+                 investors: tuple[RawInvestor, ...]) -> RoundTable:
+    (ids, sids, announced, stages, amounts, members), short_row = _read_columns(
+        path, ROUND_COLUMNS)
+    ids = list(map(str.strip, ids))
+    announced_on = Categorical.encode(announced, _parse_date)
+    parsed = list(map(_parse_amount, amounts))  # amounts are mostly distinct
+    amount = np.array(parsed, dtype=float)
+    members = Categorical.encode(members, _split_list)
+    _check(
+        path, short_row,
+        (_find(ids, ""), lambda _: "empty round_id"),
+        (_first_repeat(ids), lambda i: f"duplicate round_id {ids[i]!r}"),
+        (_first(announced_on.rows_where(lambda v: v is None)),
+         lambda i: f"unparsable date {announced[i]!r}"),
+        (_find(parsed, None), lambda i: f"unparsable amount {amounts[i].strip()!r}"),
+        (_first(amount < 0), lambda i: f"negative amount {parsed[i]}"),
+        (_first(members.rows_where(lambda v: _repeated(v) is not None)),
+         lambda i: f"investor {_repeated(members[i])!r} listed twice"),
+    )
+
+    row_of = dict(zip(startups.ids, range(len(startups))))
+    startup = np.fromiter(map(row_of.get, map(str.strip, sids), repeat(-1)), np.intp, len(ids))
+    known = {inv.investor_id for inv in investors}
+    lost_members = members.rows_where(lambda v: not known.issuperset(v))
+    dangling = []
+    for row in np.flatnonzero((startup < 0) | lost_members).tolist():
+        if startup[row] < 0:
+            dangling.append(f"round {ids[row]!r} -> startup {sids[row].strip()!r}")
+        dangling.extend(f"round {ids[row]!r} -> investor {iid!r}"
+                        for iid in members[row] if iid not in known)
+    if dangling:
+        raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
+
+    return RoundTable.from_columns(
+        ids, startup, startups.ids, announced_on, Categorical.encode(stages, str.strip),
+        amount, members)
 
 
 def load_dataset(startups_path, rounds_path, investors_path,
@@ -203,86 +561,16 @@ def load_dataset(startups_path, rounds_path, investors_path,
     """Parse the three CSV tables and the ontology, verifying referential integrity.
 
     Without an ``ontology_path`` the packaged default ontology is used.
-    Raises :class:`SchemaError` (with the offending row number) on malformed
-    content and :class:`IntegrityError` on dangling foreign keys.
+    Raises :class:`SchemaError` naming ``file:row`` of the first bad row
+    (tables in the order startups, investors, rounds) and, when every row
+    parses, :class:`IntegrityError` listing every dangling foreign key.
     """
     ontology = default_ontology() if ontology_path is None else load_ontology(ontology_path)
-
-    startups: list[RawStartup] = []
-    seen_startups: set[str] = set()
-    for row_no, (sid, name, country, status, founded, tags) in _read_rows(
-            startups_path, STARTUP_COLUMNS):
-        where = f"{startups_path}:{row_no}"
-        sid = sid.strip()
-        if not sid:
-            raise SchemaError(f"{where}: empty startup_id")
-        if sid in seen_startups:
-            raise SchemaError(f"{where}: duplicate startup_id {sid!r}")
-        seen_startups.add(sid)
-        try:
-            status_class = StartupStatus(status.strip().lower())
-        except ValueError:
-            raise SchemaError(f"{where}: unknown status {status!r}") from None
-        startups.append(RawStartup(
-            startup_id=sid,
-            name=name,
-            country_code=country.strip(),
-            status=status_class,
-            founded_date=_parse_date(founded, where),
-            tags=_split_list(tags),
-        ))
-
-    investors: list[RawInvestor] = []
-    seen_investors: set[str] = set()
-    for row_no, (iid, name, type_text) in _read_rows(investors_path, INVESTOR_COLUMNS):
-        where = f"{investors_path}:{row_no}"
-        iid = iid.strip()
-        if not iid:
-            raise SchemaError(f"{where}: empty investor_id")
-        if iid in seen_investors:
-            raise SchemaError(f"{where}: duplicate investor_id {iid!r}")
-        seen_investors.add(iid)
-        type_label = type_text.strip().lower()
-        if type_label not in INVESTOR_TYPES:
-            raise SchemaError(f"{where}: unknown investor type {type_text!r}")
-        investors.append(RawInvestor(investor_id=iid, name=name, type_label=type_label))
-
-    rounds: list[RawRound] = []
-    seen_rounds: set[str] = set()
-    dangling: list[str] = []
-    for row_no, (rid, sid, announced, stage, amount, members) in _read_rows(
-            rounds_path, ROUND_COLUMNS):
-        where = f"{rounds_path}:{row_no}"
-        rid = rid.strip()
-        if not rid:
-            raise SchemaError(f"{where}: empty round_id")
-        if rid in seen_rounds:
-            raise SchemaError(f"{where}: duplicate round_id {rid!r}")
-        seen_rounds.add(rid)
-        record = RawRound(
-            round_id=rid,
-            startup_id=sid.strip(),
-            announced_date=_parse_date(announced, where),
-            stage_label=stage.strip(),
-            amount_usd=_parse_amount(amount, where),
-            investor_ids=_split_list(members),
-        )
-        if record.startup_id not in seen_startups:
-            dangling.append(f"round {rid!r} -> startup {record.startup_id!r}")
-        for iid in record.investor_ids:
-            if iid not in seen_investors:
-                dangling.append(f"round {rid!r} -> investor {iid!r}")
-        rounds.append(record)
-
-    if dangling:
-        raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
-
-    return ValidatedDataset(
-        startups=tuple(startups),
-        rounds=tuple(rounds),
-        investors=tuple(investors),
-        ontology=ontology,
-    )
+    startups = _load_startups(startups_path)
+    investors = _load_investors(investors_path)
+    rounds = _load_rounds(rounds_path, startups, investors)
+    return ValidatedDataset(startups=startups, rounds=rounds, investors=investors,
+                            ontology=ontology)
 
 
 def dump_dataset(dataset: ValidatedDataset, out_dir) -> dict[str, Path]:
@@ -330,19 +618,17 @@ def filter_startups(dataset: ValidatedDataset,
     strictly after ``cutoff`` and appear in at least one round; drop the
     rounds of removed startups. Idempotent.
     """
-    funded = {r.startup_id for r in dataset.rounds}
-    kept = tuple(
-        s for s in dataset.startups
-        if s.country_code == country
-        and s.status is not StartupStatus.CLOSED
-        and s.founded_date > cutoff
-        and s.startup_id in funded
-    )
-    kept_ids = {s.startup_id for s in kept}
-    rounds = tuple(r for r in dataset.rounds if r.startup_id in kept_ids)
+    startups, rounds = dataset.startups, dataset.rounds
+    keep = np.zeros(len(startups), dtype=bool)
+    keep[rounds.startup] = True
+    keep &= startups.country.rows_where(lambda code: code == country)
+    keep &= startups.status.rows_where(lambda status: status is not StartupStatus.CLOSED)
+    keep &= startups.founded.rows_where(lambda founded: founded > cutoff)
+    kept = startups.take(np.flatnonzero(keep))
     return ValidatedDataset(
         startups=kept,
-        rounds=rounds,
+        rounds=rounds.take(np.flatnonzero(keep[rounds.startup]), kept.ids,
+                           np.cumsum(keep) - 1),
         investors=dataset.investors,
         ontology=dataset.ontology,
     )
@@ -352,15 +638,20 @@ def validate_dataset(dataset: ValidatedDataset) -> list[str]:
     """Non-fatal consistency report: unknown tags, unclassifiable stages,
     startups with no tags. Returns a list of warning strings (empty = clean).
     """
+    startups, rounds = dataset.startups, dataset.rounds
+    # per distinct tag set: None for no tags, else its unknown tags
+    unknown = [dataset.ontology.resolve(tags)[1] if tags else None
+               for tags in startups.tags.values]
+    noisy = np.array([u != () for u in unknown], dtype=bool)[startups.tags.codes]
     warnings: list[str] = []
-    for startup in dataset.startups:
-        if not startup.tags:
-            warnings.append(f"startup {startup.startup_id!r} has no tags")
-            continue
-        _, unknown = dataset.ontology.resolve(startup.tags)
-        for tag in unknown:
-            warnings.append(f"startup {startup.startup_id!r}: unknown tag {tag!r}")
-    for rnd in dataset.rounds:
-        if classify_stage(rnd.stage_label) is None:
-            warnings.append(f"round {rnd.round_id!r}: unclassifiable stage {rnd.stage_label!r}")
+    for row in np.flatnonzero(noisy).tolist():
+        sid = startups.ids[row]
+        tags = unknown[startups.tags.codes[row]]
+        if tags is None:
+            warnings.append(f"startup {sid!r} has no tags")
+        else:
+            warnings.extend(f"startup {sid!r}: unknown tag {tag!r}" for tag in tags)
+    unclassified = rounds.stage.rows_where(lambda label: classify_stage(label) is None)
+    for row in np.flatnonzero(unclassified).tolist():
+        warnings.append(f"round {rounds.ids[row]!r}: unclassifiable stage {rounds.stage[row]!r}")
     return warnings

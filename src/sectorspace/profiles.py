@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AnalysisError
-from .ingest import RawRound, StageClass, ValidatedDataset, classify_stage
+from .ingest import RawRound, StageClass, ValidatedDataset, classify_stage, segment_rows
 from .ontology import SectorOntology
 
 logger = logging.getLogger(__name__)
@@ -170,52 +170,38 @@ class SectorActivity:
         """
         if ontology is None:
             ontology = dataset.ontology
-        rounds = dataset.rounds
+        rounds, tags = dataset.rounds, dataset.startups.tags
         sector_index = {tag: i for i, tag in enumerate(ontology.parent_tags)}
 
-        startup_by_id = dataset.startup_by_id
-        round_tags = [startup_by_id[r.startup_id].tags for r in rounds]
-        tag_rows = dict.fromkeys(round_tags)
-        parent_lists = []
-        for row, tags in enumerate(tag_rows):
-            parents, _ = ontology.resolve(tags)
-            parent_lists.append(sorted(sector_index[tag] for tag in parents))
-            tag_rows[tags] = row
+        tag_sets, tag_row = np.unique(tags.codes[rounds.startup], return_inverse=True)
+        parent_lists = [sorted(sector_index[tag] for tag in ontology.resolve(tags.values[c])[0])
+                        for c in tag_sets.tolist()]
         n_parents = np.array([len(p) for p in parent_lists], dtype=np.intp)
-        parent_start = np.concatenate(([0], np.cumsum(n_parents)[:-1]))
+        parent_start = np.cumsum(n_parents) - n_parents
         parent_flat = np.array([i for p in parent_lists for i in p], dtype=np.intp)
 
-        label_slots = {label: STAGE_SLOTS.get(classify_stage(label), 0)
-                       for label in {r.stage_label for r in rounds}}
-
-        n = len(rounds)
-        tag_row = np.fromiter((tag_rows[tags] for tags in round_tags), np.intp, n)
-        slot = np.fromiter((label_slots[r.stage_label] for r in rounds), np.intp, n)
-        year = np.fromiter((r.announced_date.year for r in rounds), np.intp, n)
-        amount = np.fromiter((r.amount_usd or 0.0 for r in rounds), float, n)
-        n_members = np.fromiter((len(r.investor_ids) for r in rounds), np.intp, n)
-        members = [iid for r in rounds for iid in r.investor_ids]
-        investor_ids = tuple(sorted(set(members)))
-        investor_rows = {iid: i for i, iid in enumerate(investor_ids)}
+        label_slots = [STAGE_SLOTS.get(classify_stage(label), 0) for label in rounds.stage.values]
+        slot = np.array(label_slots, dtype=np.intp)[rounds.stage.codes]
+        year = rounds.year
+        amount = np.where(np.isnan(rounds.amount), 0.0, rounds.amount)
+        investor_ids = rounds.investor_vocab
         years, year_row = np.unique(year, return_inverse=True)
-        unclassified = tuple((int(year[i]), rounds[i].stage_label)
-                             for i in np.flatnonzero(slot == 0))
+        unclassified = tuple((int(year[i]), rounds.stage[i])
+                             for i in np.flatnonzero(slot == 0).tolist())
 
         k = n_parents[tag_row]
         sinks = np.flatnonzero(k == 0)
         if sinks.size:
             logger.warning("%d round(s) have no classified sectors and are excluded: %s",
-                           sinks.size, ", ".join(rounds[i].round_id for i in sinks[:10]))
+                           sinks.size, ", ".join(rounds.ids[i] for i in sinks[:10].tolist()))
 
         # one entry per (participation, parent tag), in round order
-        part_round = np.repeat(np.arange(n), n_members)
-        part_investor = np.fromiter((investor_rows[iid] for iid in members), np.intp,
-                                    len(members))
+        part_round = np.repeat(np.arange(len(rounds)), np.diff(rounds.investor_offsets))
+        part_investor = rounds.investor_codes
         part_k = k[part_round]
         share_part = np.repeat(np.arange(part_round.size), part_k)
         share_round = part_round[share_part]
-        offset = np.arange(share_part.size) - np.repeat(np.cumsum(part_k) - part_k, part_k)
-        sector = parent_flat[parent_start[tag_row[share_round]] + offset]
+        sector = parent_flat[segment_rows(parent_start[tag_row[part_round]], part_k)]
 
         n_sectors = ontology.n_sectors
         shape = (len(investor_ids), years.size, N_SLOTS, n_sectors)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorspace import cli, synth
+from sectorspace import cli, ingest, synth
 from sectorspace.ontology import SectorOntology, dump_ontology
 from sectorspace.reports import sha256_digest
 
@@ -256,6 +256,22 @@ class TestAll:
             n_startups = sum(1 for _ in csv.DictReader(handle))
         assert 0 < len(calls) <= n_startups
         assert len(set(calls)) == len(calls)
+
+    def test_builds_no_row_records(self, smoke_dir, tmp_path, capsys, monkeypatch):
+        built = []
+        for record in (ingest.RawStartup, ingest.RawRound):
+            init = record.__init__
+
+            def counting(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__init__", counting)
+        assert self.run_all(smoke_dir, tmp_path / "out") == 0
+        assert built == []
+        cli._load(cli._config(cli.build_parser().parse_args(
+            ["all", *table_flags(smoke_dir)]))).rounds[0]
+        assert built == ["RawRound"]
 
     def test_reruns_byte_identical(self, smoke_dir, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"

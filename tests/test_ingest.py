@@ -1,14 +1,26 @@
 """Loading, schema validation, filtering and stage classification."""
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sectorspace.errors import IntegrityError, SchemaError, StageError
 from sectorspace.ingest import (
+    INVESTOR_COLUMNS,
+    INVESTOR_TYPES,
+    ROUND_COLUMNS,
+    STARTUP_COLUMNS,
+    RawInvestor,
+    RawRound,
+    RawStartup,
     StageClass,
     StartupStatus,
     classify_stage,
@@ -120,6 +132,33 @@ class TestLoadDataset:
             with pytest.raises(SchemaError):
                 load_dataset(*write_tables(
                     tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3])
+
+    @pytest.mark.parametrize("amount", ["nan", "inf", "-inf", " NaN ", "1e400"])
+    def test_non_finite_amount(self, tmp_path, amount):
+        rounds = GOOD_ROUNDS.replace("500000", amount)
+        with pytest.raises(SchemaError,
+                           match=rf"rounds\.csv:2: unparsable amount '{amount.strip()}'"):
+            load_dataset(*write_tables(tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3])
+
+    def test_investor_listed_twice(self, tmp_path):
+        rounds = GOOD_ROUNDS.replace("i1|i2", "i1| i2 |i1")
+        with pytest.raises(SchemaError, match=r"rounds\.csv:3: investor 'i1' listed twice"):
+            load_dataset(*write_tables(tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3])
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # row 3 has a bad date, row 4 a bad status: the earlier row is reported
+        startups = (GOOD_STARTUPS.replace("2010-03-04", "someday")
+                    .replace("DEU,active", "DEU,zombie"))
+        with pytest.raises(SchemaError, match=r"startups\.csv:3: unparsable date"):
+            load_dataset(*write_tables(tmp_path, startups, GOOD_ROUNDS, GOOD_INVESTORS)[:3])
+        # within a row, the status is checked before the date
+        startups = GOOD_STARTUPS.replace("DEU,active,2008-07-07", "DEU,zombie,someday")
+        with pytest.raises(SchemaError, match=r"startups\.csv:4: unknown status 'zombie'"):
+            load_dataset(*write_tables(tmp_path, startups, GOOD_ROUNDS, GOOD_INVESTORS)[:3])
+        # a bad row before a short row is reported first
+        rounds = GOOD_ROUNDS.replace("2010-05-01", "2010-13-01") + "r4,s1\n"
+        with pytest.raises(SchemaError, match=r"rounds\.csv:2: unparsable date"):
+            load_dataset(*write_tables(tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3])
 
     def test_unknown_status_and_type(self, tmp_path):
         with pytest.raises(SchemaError, match="status"):
@@ -266,3 +305,255 @@ class TestValidateDataset:
 
     def test_clean_dataset_is_silent(self, tiny_dataset):
         assert validate_dataset(tiny_dataset) == []
+
+
+# ---------------------------------------------------------------------------
+# oracle: the row-by-row loader the columnar one replaced
+
+
+def _reference_rows(path, columns):
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in position]
+        if missing:
+            raise SchemaError(f"{path}: missing columns {missing}")
+        picks = [position[c] for c in columns]
+        row_no = 1
+        for row in reader:
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < max(picks) + 1:
+                raise SchemaError(f"{path}:{row_no}: short row")
+            yield row_no, [row[i] for i in picks]
+
+
+def _reference_date(text, where):
+    try:
+        return dt.date.fromisoformat(text.strip())
+    except ValueError:
+        raise SchemaError(f"{where}: unparsable date {text!r}") from None
+
+
+def _reference_amount(text, where):
+    text = text.strip()
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"{where}: unparsable amount {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: unparsable amount {text!r}")
+    if value < 0:
+        raise SchemaError(f"{where}: negative amount {value}")
+    return value
+
+
+def _reference_list(text):
+    return tuple(part for part in (p.strip() for p in text.split("|")) if part)
+
+
+def reference_load(startups_path, rounds_path, investors_path):
+    """Row-by-row loader: one record per row, checks in row order.
+
+    Beyond the loader it replaced, it rejects non-finite amounts and a
+    round that lists one investor twice.
+    """
+    startups, seen_startups = [], set()
+    for row_no, (sid, name, country, status, founded, tags) in _reference_rows(
+            startups_path, STARTUP_COLUMNS):
+        where = f"{startups_path}:{row_no}"
+        sid = sid.strip()
+        if not sid:
+            raise SchemaError(f"{where}: empty startup_id")
+        if sid in seen_startups:
+            raise SchemaError(f"{where}: duplicate startup_id {sid!r}")
+        seen_startups.add(sid)
+        try:
+            status_class = StartupStatus(status.strip().lower())
+        except ValueError:
+            raise SchemaError(f"{where}: unknown status {status!r}") from None
+        startups.append(RawStartup(sid, name, country.strip(), status_class,
+                                   _reference_date(founded, where), _reference_list(tags)))
+
+    investors, seen_investors = [], set()
+    for row_no, (iid, name, type_text) in _reference_rows(investors_path, INVESTOR_COLUMNS):
+        where = f"{investors_path}:{row_no}"
+        iid = iid.strip()
+        if not iid:
+            raise SchemaError(f"{where}: empty investor_id")
+        if iid in seen_investors:
+            raise SchemaError(f"{where}: duplicate investor_id {iid!r}")
+        seen_investors.add(iid)
+        type_label = type_text.strip().lower()
+        if type_label not in INVESTOR_TYPES:
+            raise SchemaError(f"{where}: unknown investor type {type_text!r}")
+        investors.append(RawInvestor(iid, name, type_label))
+
+    rounds, seen_rounds, dangling = [], set(), []
+    for row_no, (rid, sid, announced, stage, amount, members) in _reference_rows(
+            rounds_path, ROUND_COLUMNS):
+        where = f"{rounds_path}:{row_no}"
+        rid = rid.strip()
+        if not rid:
+            raise SchemaError(f"{where}: empty round_id")
+        if rid in seen_rounds:
+            raise SchemaError(f"{where}: duplicate round_id {rid!r}")
+        seen_rounds.add(rid)
+        record = RawRound(rid, sid.strip(), _reference_date(announced, where), stage.strip(),
+                          _reference_amount(amount, where), _reference_list(members))
+        for k, iid in enumerate(record.investor_ids):
+            if iid in record.investor_ids[:k]:
+                raise SchemaError(f"{where}: investor {iid!r} listed twice")
+        if record.startup_id not in seen_startups:
+            dangling.append(f"round {rid!r} -> startup {record.startup_id!r}")
+        for iid in record.investor_ids:
+            if iid not in seen_investors:
+                dangling.append(f"round {rid!r} -> investor {iid!r}")
+        rounds.append(record)
+    if dangling:
+        raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
+    return startups, rounds, investors
+
+
+def _outcome(load, paths):
+    """The loaded tables, or the type and message of the load error."""
+    try:
+        return load(*paths), None
+    except (SchemaError, IntegrityError) as exc:
+        return None, (type(exc), str(exc))
+
+
+# Cell pools: the first entries of each are clean, the rest are faults
+# (or, for ids and keys, collisions and dangling references).
+STARTUP_CELLS = [
+    ["One", "Four, Inc.", 'Say "hi"', ""],
+    ["USA", " USA", "DEU"],
+    ["active", "closed", " IPO ", "acquired", "zombie"],
+    ["2005-01-10", "2010-03-04", " 2001-02-03 ", "Jan 2005", "2010-02-30"],
+    ["Software", "Health Care|Software", " Software | Hardware ", "", "mystery|"],
+]
+ROUND_CELLS = [
+    ["2010-05-01", "2011-06-01 ", "2012-07-01", "soon", "2012-7-1"],
+    ["seed", " Series A ", "series c", "pre-seed"],
+    ["500000", "", " 1.5e6 ", "2500000.5", "0", "lots", "-5", "nan", "inf"],
+]
+INVESTOR_CELLS = [
+    ["Fund A", "Prog, B"],
+    ["vc", "accelerator", " Angel ", "hedge_fund"],
+]
+
+
+def _draw_rows(data, prefix, n, pools, faulty):
+    """``n`` rows of an id followed by one cell from each pool.
+
+    A faulty id is empty or repeats the previous row's id once stripped.
+    """
+    rows = []
+    for i in range(n):
+        bad = faulty and data.draw(st.integers(0, 9)) == 0
+        faulty_ids = ["", f" {prefix}{max(i - 1, 0)} "]
+        row = [data.draw(st.sampled_from(faulty_ids)) if bad else f"{prefix}{i}"]
+        for pool in pools:
+            bad = faulty and data.draw(st.integers(0, 4)) == 0
+            row.append(data.draw(st.sampled_from(pool if bad else pool[:3])))
+        rows.append(row)
+    return rows
+
+
+def _write(path, header, rows, data, faulty):
+    """Write ``rows`` as CSV; faulty tables also get blank lines, short rows
+    and extra trailing cells."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            if faulty:
+                damage = data.draw(st.integers(0, 59))
+                if damage == 0:
+                    writer.writerow([])
+                elif damage == 1:
+                    row = row[:data.draw(st.integers(1, len(row) - 1))]
+                elif damage == 2:
+                    row = [*row, "extra"]
+            writer.writerow(row)
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_loader_matches_row_by_row_reference(tmp_path_factory, data):
+    faulty = data.draw(st.booleans())
+    n_startups, n_investors = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+    startups = _draw_rows(data, "s", n_startups, STARTUP_CELLS, faulty)
+    investors = _draw_rows(data, "i", n_investors, INVESTOR_CELLS, faulty)
+    startup_keys = [f"s{i}" for i in range(n_startups)] or ["ghost"]
+    investor_keys = [f"i{i}" for i in range(n_investors)]
+    if faulty:
+        startup_keys = [*startup_keys, "ghost", " s0 "]
+        investor_keys = [*investor_keys, "nobody"]
+    rounds = []
+    for row in _draw_rows(data, "r", data.draw(st.integers(0, 6)), ROUND_CELLS, faulty):
+        repeats = faulty and data.draw(st.integers(0, 9)) == 0
+        members = data.draw(st.lists(st.sampled_from(investor_keys), min_size=0, max_size=3,
+                                     unique=not repeats))
+        rounds.append([row[0], data.draw(st.sampled_from(startup_keys)), *row[1:],
+                       " | ".join(members)])
+
+    tmp = tmp_path_factory.mktemp("oracle")
+    # unnormalized str paths: row errors name the path as given, reader errors as a Path
+    paths = [f"{tmp}/./{name}.csv" for name in ("startups", "rounds", "investors")]
+    _write(Path(paths[0]), STARTUP_COLUMNS, startups, data, faulty)
+    _write(Path(paths[1]), ROUND_COLUMNS, rounds, data, faulty)
+    _write(Path(paths[2]), INVESTOR_COLUMNS, investors, data, faulty)
+
+    expected, expected_error = _outcome(reference_load, paths)
+    got, error = _outcome(load_dataset, paths)
+    assert error == expected_error
+    if expected is not None:
+        assert list(got.startups) == expected[0]
+        assert list(got.rounds) == expected[1]
+        assert list(got.investors) == expected[2]
+
+
+def _stored_columns(dataset):
+    startups, rounds = dataset.startups, dataset.rounds
+    return {
+        "startup ids": startups.ids,
+        "names": startups.names,
+        **{name: (getattr(startups, name).codes.tolist(), getattr(startups, name).values)
+           for name in ("country", "status", "founded", "tags")},
+        "round ids": rounds.ids,
+        "startup": rounds.startup.tolist(),
+        "startup_ids": rounds.startup_ids,
+        **{name: (getattr(rounds, name).codes.tolist(), getattr(rounds, name).values)
+           for name in ("announced", "stage")},
+        "amount": [None if math.isnan(a) else a for a in rounds.amount.tolist()],
+        "investor_offsets": rounds.investor_offsets.tolist(),
+        "investor_codes": rounds.investor_codes.tolist(),
+        "investor_vocab": rounds.investor_vocab,
+        "investors": dataset.investors,
+    }
+
+
+def test_records_and_loaded_dump_store_equal_columns(tmp_path, small_ontology):
+    built = make_dataset(
+        [make_startup("s1", ["Alpha"], name="One, Inc."),
+         make_startup("s2", ["Beta", "dual-child"], status=StartupStatus.IPO),
+         make_startup("s3", [], country="DEU", founded=dt.date(1999, 1, 1))],
+        [make_round("r1", "s2", 2010, ["i2", "i1"], amount=None),
+         make_round("r2", "s1", 2011, ["i1"], stage="Series B", amount=2.5e5 + 0.25),
+         make_round("r3", "s2", 2010, [], stage="mystery")],
+        [make_investor("i1"), make_investor("i2", "angel", name="Fund, B")],
+        small_ontology,
+    )
+    paths = dump_dataset(built, tmp_path)
+    loaded = load_dataset(paths["startups"], paths["rounds"], paths["investors"],
+                          paths["ontology"])
+    assert _stored_columns(loaded) == _stored_columns(built)
+    assert loaded == built
