@@ -53,14 +53,22 @@ def _parse_range(text: str, minimum: int | None = None) -> range:
     return range(first, last + 1)
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _parse_above(text: str, kind: type, bound: float):
+    """``kind(text)``, which must be greater than ``bound``."""
     try:
-        nx, ny = (int(part) for part in text.lower().split("x"))
+        value = kind(text)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not value > bound:
+        raise argparse.ArgumentTypeError(f"{text!r} must be greater than {bound}")
+    return value
+
+
+def _parse_grid(text: str) -> tuple[int, int]:
+    parts = text.lower().split("x")
+    if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}; expected NXxNY")
-    if nx < 2 or ny < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 bins per axis")
-    return nx, ny
+    return tuple(_parse_above(part, int, 1) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -213,20 +221,19 @@ def _run_pca(config: PipelineConfig, dataset: ValidatedDataset,
             )
     reports.write_trajectory(config.out / "trajectory.csv", trajectories)
 
-    if config.pca_dim >= 2:
+    svgplot.save_svg(
+        config.out / "pca_sectors.svg",
+        svgplot.scatter_chart(pca.sector_positions(model, sectors),
+                              title="Sector loadings"),
+    )
+    for label, points in trajectories.items():
         svgplot.save_svg(
-            config.out / "pca_sectors.svg",
-            svgplot.scatter_chart(pca.sector_positions(model, sectors),
-                                  title="Sector loadings"),
+            config.out / f"trajectory_{label}.svg",
+            svgplot.trajectory_chart(
+                [(p.year, float(p.coords[0]), float(p.coords[1])) for p in points],
+                title=f"Barycenter trajectory ({label})",
+            ),
         )
-        for label, points in trajectories.items():
-            svgplot.save_svg(
-                config.out / f"trajectory_{label}.svg",
-                svgplot.trajectory_chart(
-                    [(p.year, float(p.coords[0]), float(p.coords[1])) for p in points],
-                    title=f"Barycenter trajectory ({label})",
-                ),
-            )
     return {
         "explained_variance": [float(v) for v in model.explained_variance],
         "total_variance": float(model.total_variance),
@@ -436,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parent tag to drop (default: Health Care; "
                              "pass an empty string to keep everything)")
     common.add_argument("--stage", choices=sorted(STAGE_FLAGS), default=None)
-    common.add_argument("--pca-dim", type=int, default=2)
+    common.add_argument("--pca-dim", type=partial(_parse_above, kind=int, bound=1), default=2)
     common.add_argument("--r-range", type=partial(_parse_range, minimum=1),
                         default=range(1, 9), metavar="LO:HI")
-    common.add_argument("--restarts", type=int, default=8)
-    common.add_argument("--tol", type=float, default=1e-6)
+    common.add_argument("--restarts", type=partial(_parse_above, kind=int, bound=1), default=8)
+    common.add_argument("--tol", type=partial(_parse_above, kind=float, bound=0.0), default=1e-6)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--grid", type=_parse_grid, default=(30, 30), metavar="NXxNY")
     common.add_argument("--out", default="out", help="output directory")

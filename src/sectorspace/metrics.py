@@ -2,9 +2,10 @@
 
 Distances between group barycenters are computed on the pre-PCA
 coordinates (whatever dimensionality the profiles carry, i.e. with any
-excluded sectors already dropped); only the heatmaps go through the 2-D
-projection. All operations are pure functions of immutable inputs and
-order their per-year output by year.
+excluded sectors already dropped) as stacked ``profiles.share_matrix``
+rows; only the heatmaps go through the 2-D projection, once per grid.
+All operations are pure functions of immutable inputs and order their
+per-year output by year.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .errors import AnalysisError
 from .pca import BarycenterPoint, PCAModel, barycenter, project
-from .profiles import GroupSpec, InvestorYearProfile, group_profiles, profiles_by_year
+from .profiles import (GroupSpec, InvestorYearProfile, group_profiles, profiles_by_year,
+                       share_matrix)
 
 logger = logging.getLogger(__name__)
 
@@ -108,24 +110,20 @@ class HeatmapGrid:
         return float(cells.max() / cells.sum())
 
 
-def _bin_edges(points: np.ndarray, n_bins: int, lo_pct: float, hi_pct: float) -> np.ndarray:
-    lo, hi = np.percentile(points, [lo_pct, hi_pct])
-    if not hi > lo:
-        raise AnalysisError("degenerate bin edges: projected points do not spread")
-    return np.linspace(lo, hi, n_bins + 1)
-
-
-def heatmap_slice(profiles: list[InvestorYearProfile], model: PCAModel,
-                  x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
-    """Bin one year's projected strategies onto a fixed grid."""
+def _bin_points(points: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
     if len(x_edges) < 3 or len(y_edges) < 3:
         raise AnalysisError("heatmap needs at least 2 bins per axis")
-    points = np.vstack([project(model, p.vector.normalized()) for p in profiles])
     ix = np.clip(np.searchsorted(x_edges, points[:, 0], side="right") - 1, 0, len(x_edges) - 2)
     iy = np.clip(np.searchsorted(y_edges, points[:, 1], side="right") - 1, 0, len(y_edges) - 2)
     counts = np.zeros((len(x_edges) - 1, len(y_edges) - 1), dtype=int)
     np.add.at(counts, (ix, iy), 1)
     return counts
+
+
+def heatmap_slice(profiles: list[InvestorYearProfile], model: PCAModel,
+                  x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
+    """Bin one year's projected strategies onto a fixed grid."""
+    return _bin_points(project(model, share_matrix(profiles)[0]), x_edges, y_edges)
 
 
 def heatmap_grid(profiles: list[InvestorYearProfile], model: PCAModel,
@@ -136,19 +134,19 @@ def heatmap_grid(profiles: list[InvestorYearProfile], model: PCAModel,
     Edges span the 1st-99th percentile of all projected points by default;
     the stragglers outside clamp into the border bins.
     """
-    by_year = profiles_by_year([p for p in profiles if p.stage_filter is None])
-    if not by_year:
+    unfiltered = [p for p in profiles if p.stage_filter is None]
+    if not unfiltered:
         raise AnalysisError("no profiles to bin")
-    everything = np.vstack([
-        project(model, p.vector.normalized())
-        for year_profiles in by_year.values()
-        for p in year_profiles
-    ])
-    x_edges = _bin_edges(everything[:, 0], n_x, *percentile_range)
-    y_edges = _bin_edges(everything[:, 1], n_y, *percentile_range)
+    points = project(model, share_matrix(unfiltered)[0])
+    years = np.array([p.year for p in unfiltered])
+    lo, hi = np.percentile(points, percentile_range, axis=0)
+    if not (hi > lo).all():
+        raise AnalysisError("degenerate bin edges: projected points do not spread")
+    x_edges = np.linspace(lo[0], hi[0], n_x + 1)
+    y_edges = np.linspace(lo[1], hi[1], n_y + 1)
     counts = {
-        year: heatmap_slice(year_profiles, model, x_edges, y_edges)
-        for year, year_profiles in by_year.items()
+        year: _bin_points(points[years == year], x_edges, y_edges)
+        for year in np.unique(years).tolist()
     }
     return HeatmapGrid(x_edges=x_edges, y_edges=y_edges, counts=counts)
 
@@ -163,20 +161,13 @@ def average_distance_to_barycenter(profiles: list[InvestorYearProfile]
     if len(profiles) < 2:
         raise AnalysisError("need at least 2 investors to measure spread")
     center = barycenter(profiles)
-    dists = np.array([
-        euclidean_distance(p.vector.normalized(), center.coords) for p in profiles
-    ])
+    shares, _ = share_matrix(profiles)
+    dists = np.sqrt(np.sum((shares - center.coords) ** 2, axis=1))
     return float(dists.mean()), float(dists.std(ddof=1) / np.sqrt(len(dists)))
 
 
 def spread_series(profiles: list[InvestorYearProfile]) -> list[tuple[int, float, float]]:
     """Per-year (mean distance to barycenter, standard error), years ascending."""
-    out = []
-    for year, year_profiles in profiles_by_year(
-        [p for p in profiles if p.stage_filter is None]
-    ).items():
-        if len(year_profiles) < 2:
-            continue
-        mean, sigma = average_distance_to_barycenter(year_profiles)
-        out.append((year, mean, sigma))
-    return out
+    by_year = profiles_by_year([p for p in profiles if p.stage_filter is None])
+    return [(year, *average_distance_to_barycenter(year_profiles))
+            for year, year_profiles in by_year.items() if len(year_profiles) >= 2]

@@ -159,7 +159,8 @@ def project(model: PCAModel, vector: np.ndarray) -> np.ndarray:
     """Coordinates of a raw sector-space vector (or row-stack) in the model plane."""
     if model.params is None:
         raise AnalysisError("model carries no standardization params")
-    return apply_standardization(vector, model.params) @ model.axes.T
+    # one vector-matrix product per row: a row gets the same bits alone or stacked
+    return (apply_standardization(vector, model.params)[..., None, :] @ model.axes.T)[..., 0, :]
 
 
 def project_sigma(model: PCAModel, sigma: np.ndarray) -> np.ndarray:
@@ -214,7 +215,7 @@ def barycenter(profiles: list[InvestorYearProfile]) -> BarycenterPoint:
     active = weights > 0
     if not active.any():
         raise AnalysisError("all profiles have zero activity")
-    shares = np.vstack([p.vector.normalized() for p, a in zip(profiles, active) if a])
+    shares, _ = share_matrix([p for p, a in zip(profiles, active) if a])
     weights = weights[active]
     total = weights.sum()
     coords = weights @ shares / total

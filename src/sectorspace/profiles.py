@@ -11,7 +11,8 @@ amount arrays indexed by investor, year, stage slot (all rounds, then one
 slot per :class:`StageClass`) and parent sector. Every profile view is a
 slice of those arrays: :func:`build_profiles` picks the stage slot, the
 years window and the kept sectors, and :func:`stage_partition` slices the
-four stage slots of the same accumulation.
+four stage slots of the same accumulation. :func:`share_matrix` is the one
+place where round counts become shares, stacked once per profile list.
 """
 from __future__ import annotations
 
@@ -40,13 +41,6 @@ class StrategyVector:
     sectors: tuple[str, ...]
     rounds_by_sector: np.ndarray
     amount_by_sector: np.ndarray
-
-    def normalized(self) -> np.ndarray:
-        """Round counts as shares summing to 1."""
-        total = self.rounds_by_sector.sum()
-        if total <= 0:
-            raise AnalysisError("cannot normalize an all-zero strategy vector")
-        return self.rounds_by_sector / total
 
     @property
     def n_rounds(self) -> float:
@@ -303,15 +297,18 @@ def profiles_by_year(profiles) -> dict[int, list[InvestorYearProfile]]:
 
 
 def share_matrix(profiles) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Stack normalized strategy vectors as rows.
+    """Stack the round counts of ``profiles`` as rows of shares summing to 1.
 
     Returns the matrix and the (investor_id, year) row labels in order.
     """
     if not profiles:
         raise AnalysisError("no profiles to stack")
-    rows = np.vstack([p.vector.normalized() for p in profiles])
+    counts = np.vstack([p.vector.rounds_by_sector for p in profiles])
+    totals = counts.sum(axis=1, keepdims=True)
+    if (totals <= 0).any():
+        raise AnalysisError("cannot normalize an all-zero strategy vector")
     labels = [(p.investor_id, p.year) for p in profiles]
-    return rows, labels
+    return counts / totals, labels
 
 
 def stage_partition(dataset: ValidatedDataset | SectorActivity,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AnalysisError
 from .ingest import StageClass
 from .ontology import SectorOntology, dump_ontology
-from .tca import CPModel, _canonicalize
+from .tca import CPModel, canonicalize
 
 STAGE_LABELS = {
     StageClass.SEED: "seed",
@@ -125,7 +125,7 @@ def generate_cp_tensor(n: int, s: int, k: int, rank: int, noise: float = 0.0,
         tensor = tensor + noise * rng.standard_normal((n, s, k))
     for i in range(rank):  # store in the same canonical form fitted models use
         a[:, i] *= weights[i]
-    a, b, c, weights = _canonicalize(a, b, c)
+    a, b, c, weights = canonicalize(a, b, c)
     truth = PlantedTruth(kind="cp_tensor", seed=seed, cp_weights=weights, cp_factors=(a, b, c))
     return tensor, truth
 

@@ -54,10 +54,12 @@ class StrategyTensor:
 def build_tensor(profiles: list[InvestorYearProfile], years, sectors) -> StrategyTensor:
     """Assemble and per-slice standardize the activity tensor.
 
-    ``sectors`` is an ontology or an explicit tag tuple. Investors keep the
-    same row in every yearly slice; rows for inactive years stay zero until
-    standardization recenters them. Needs at least two years and two
-    investors, otherwise the temporal factor (or a fiber std) is undefined.
+    ``sectors`` is an ontology or an explicit tag tuple; profile sectors it
+    lacks are left out. The profiles share one sector order, as every
+    ``build_profiles`` result does. Investors keep the same row in every
+    yearly slice; rows for inactive years stay zero until standardization
+    recenters them. Needs at least two years and two investors, otherwise
+    the temporal factor (or a fiber std) is undefined.
     """
     sector_names = tuple(getattr(sectors, "parent_tags", sectors))
     years = tuple(sorted(years))
@@ -66,20 +68,20 @@ def build_tensor(profiles: list[InvestorYearProfile], years, sectors) -> Strateg
     investor_ids = tuple(sorted({p.investor_id for p in profiles}))
     if len(investor_ids) < 2:
         raise AnalysisError("tensor needs at least 2 investors")
+    if len({p.vector.sectors for p in profiles}) > 1:
+        raise AnalysisError("profiles carry differing sector orders")
     row = {iid: i for i, iid in enumerate(investor_ids)}
     slab = {year: k for k, year in enumerate(years)}
-    col = {tag: j for j, tag in enumerate(sector_names)}
 
+    # (tensor column, profile column) of every tag both sector lists name
+    col, src = np.nonzero(np.array(sector_names, dtype=str)[:, None]
+                          == np.array(profiles[0].vector.sectors, dtype=str))
+    counts = np.vstack([p.vector.rounds_by_sector for p in profiles])[:, src]
+    i = np.array([row[p.investor_id] for p in profiles])
+    k = np.array([slab.get(p.year, -1) for p in profiles])
+    kept = k >= 0
     values = np.zeros((len(investor_ids), len(sector_names), len(years)))
-    for p in profiles:
-        k = slab.get(p.year)
-        if k is None:
-            continue
-        i = row[p.investor_id]
-        for tag, count in zip(p.vector.sectors, p.vector.rounds_by_sector):
-            j = col.get(tag)
-            if j is not None:
-                values[i, j, k] += count
+    np.add.at(values, (i[kept, None], col, k[kept, None]), counts[kept])
 
     params = []
     for k in range(len(years)):
@@ -147,8 +149,9 @@ def _solve_factor(unfolding: np.ndarray, kr: np.ndarray, gram: np.ndarray,
     return factor, m
 
 
-def _canonicalize(a: np.ndarray, b: np.ndarray, c: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def canonicalize(a: np.ndarray, b: np.ndarray, c: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factors and weights of a CP model in the stored canonical form (see module doc)."""
     norms = [np.linalg.norm(f, axis=0) for f in (a, b, c)]
     weights = norms[0] * norms[1] * norms[2]
     a, b, c = (
@@ -215,7 +218,7 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
 
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise AnalysisError("ALS produced non-finite factors")
-    a, b, c, weights = _canonicalize(a, b, c)
+    a, b, c, weights = canonicalize(a, b, c)
     meta = tensor if isinstance(tensor, StrategyTensor) else None
     return CPModel(
         rank=rank,

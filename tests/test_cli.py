@@ -5,7 +5,9 @@ affine image of a planted rank-2 tensor. Per-fiber standardization in
 build_tensor is invariant to per-fiber affine maps, so the pipeline tensor
 carries the planted structure and the scan must pick R = 2.
 """
+import ast
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -133,6 +135,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["spread", "--grid", "1x5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--pca-dim", "1"), ("--restarts", "1"), ("--tol", "0"), ("--tol", "-1e-6"),
+        ("--tol", "nan"), ("--pca-dim", "two"),
+    ])
+    def test_out_of_range_number_exits_before_writing(self, smoke_dir, tmp_path, capsys,
+                                                       flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["all", *table_flags(smoke_dir), flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_accepted_numbers(self):
+        args = cli.build_parser().parse_args(
+            ["all", "--pca-dim", "2", "--restarts", "2", "--tol", "1e-12"])
+        assert (args.pca_dim, args.restarts, args.tol) == (2, 2, 1e-12)
 
     def test_year_shorthand(self):
         args = cli.build_parser().parse_args(["validate", "--years", "2010"])
@@ -351,6 +371,21 @@ class TestExcludeSector:
         assert self.profile_sectors(out) == {"Energy", "Health Care"}
         manifest = json.loads((out / "manifest_profiles.json").read_text())
         assert manifest["config"]["exclude_sectors"] == []
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark tracer wraps is still where it looks."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYERS")
+    for layer, names in layers.items():
+        module = importlib.import_module(f"sectorspace.{layer}")
+        for name in " ".join(names).split():
+            holder = module
+            for part in name.split("."):
+                holder = getattr(holder, part, None)
+            assert callable(holder), f"sectorspace.{layer}.{name}"
 
 
 class TestEntryPoint:

@@ -369,3 +369,7 @@ def test_share_matrix_rows_sum_to_one(tiny_dataset):
     assert labels == [(p.investor_id, p.year) for p in profiles]
     with pytest.raises(AnalysisError):
         share_matrix([])
+    idle = replace(profiles[0], vector=replace(profiles[0].vector,
+                                               rounds_by_sector=np.zeros(len(TAGS4))))
+    with pytest.raises(AnalysisError, match="all-zero strategy vector"):
+        share_matrix(profiles + [idle])

@@ -8,9 +8,9 @@ from sectorspace.errors import AnalysisError
 from sectorspace.synth import generate_cp_tensor
 from sectorspace.tca import (
     CPModel,
-    _canonicalize,
     _restart_seed,
     build_tensor,
+    canonicalize,
     cp_als,
     emerging_component,
     factor_match_score,
@@ -182,8 +182,8 @@ class TestCPALS:
         b = model.sector_factors * (w ** (1 / 3))
         c = model.temporal_factors * (w ** (1 / 3))
         alpha, beta = 3.7, 0.4
-        rescaled = _canonicalize(a * alpha, b * beta, c / (alpha * beta))
-        original = _canonicalize(a.copy(), b.copy(), c.copy())
+        rescaled = canonicalize(a * alpha, b * beta, c / (alpha * beta))
+        original = canonicalize(a.copy(), b.copy(), c.copy())
         for got, base in zip(rescaled, original):
             np.testing.assert_allclose(got, base, atol=1e-12)
 
