@@ -15,7 +15,8 @@ import numpy as np
 
 import sectorspace as ss
 from sectorspace import metrics, synth, tca
-from sectorspace.profiles import GroupSpec, ProfileOptions, build_profiles, stage_partition
+from sectorspace.profiles import (GroupSpec, ProfileOptions, ProfileTable, build_profiles,
+                                  stage_partition)
 
 
 def load(name: str, seed: int, root: Path):
@@ -38,8 +39,8 @@ def study_convergence(seed: int, root: Path) -> None:
 
 def study_stage_offsets(seed: int, root: Path) -> None:
     _, _, dataset, profiles, options = load("stage_offsets", seed, root)
-    for stage_profiles in stage_partition(dataset, options=options).values():
-        profiles = profiles + stage_profiles
+    profiles = ProfileTable.concat(
+        [profiles, *stage_partition(dataset, options=options).values()])
     for stage in ss.StageClass:
         series = metrics.distance_series(
             profiles, GroupSpec(stage=stage),
@@ -64,7 +65,7 @@ def study_concentration(seed: int, root: Path) -> None:
 
 def study_emergence(seed: int, root: Path) -> None:
     _, truth, dataset, profiles, _ = load("emergence", seed, root)
-    years = sorted({p.year for p in profiles})
+    years = np.unique(profiles.years).tolist()
     tensor = tca.build_tensor(profiles, years, dataset.ontology)
     models = [tca.cp_als(tensor, 2, seed=tca._restart_seed(seed, 2, j))
               for j in range(5)]

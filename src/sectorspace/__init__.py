@@ -55,10 +55,9 @@ from .pca import (
 )
 from .profiles import (
     GroupSpec,
-    InvestorYearProfile,
     ProfileOptions,
+    ProfileTable,
     SectorActivity,
-    StrategyVector,
     build_profiles,
     group_profiles,
     share_matrix,

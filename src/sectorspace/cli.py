@@ -164,8 +164,13 @@ def _load_and_filter(config: PipelineConfig, validate: bool
     return raw, dataset, warnings
 
 
-def _load(config: PipelineConfig) -> ValidatedDataset:
-    return _load_and_filter(config, validate=False)[1]
+def _load(config: PipelineConfig, stages=()) -> ValidatedDataset:
+    """The filtered dataset, checked against the flags of the ``stages`` to run."""
+    dataset = _load_and_filter(config, validate=False)[1]
+    n_sectors = len(_options(config).effective_sectors(dataset.ontology))
+    if "pca" in stages and config.pca_dim > n_sectors:
+        raise SectorSpaceError(f"--pca-dim {config.pca_dim} exceeds the {n_sectors} kept sectors")
+    return dataset
 
 
 def _options(config: PipelineConfig) -> ProfileOptions:
@@ -244,7 +249,7 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
             activity: SectorActivity) -> dict:
     options = replace(_options(config), exclude_sectors=frozenset())
     profiles = build_profiles(activity, options=options)
-    years = sorted({p.year for p in profiles})
+    years = sorted(set(profiles.years.tolist()))
     tensor = tca.build_tensor(profiles, years, dataset.ontology)
     feasible = [r for r in config.r_range if r <= min(tensor.values.shape[0],
                 tensor.values.shape[1] * tensor.values.shape[2])]
@@ -303,8 +308,8 @@ def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
                    activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
     present = sorted({
-        dataset.investor_by_id[p.investor_id].type_label
-        for p in profiles if p.investor_id in dataset.investor_by_id
+        dataset.investor_by_id[iid].type_label
+        for iid in set(profiles.investor_ids.tolist()) if iid in dataset.investor_by_id
     })
     series_list = []
     for i, type_a in enumerate(present):
@@ -385,8 +390,8 @@ _STAGES = {
 def _run_stage(name: str):
     def runner(args) -> int:
         config = _config(args)
+        dataset = _load(config, (name,))
         config.out.mkdir(parents=True, exist_ok=True)
-        dataset = _load(config)
         results = _STAGES[name](config, dataset, SectorActivity.from_dataset(dataset))
         _manifest(config, name, results)
         print(f"{name}: wrote artifacts to {config.out}")
@@ -397,8 +402,8 @@ def _run_stage(name: str):
 
 def cmd_all(args) -> int:
     config = _config(args)
+    dataset = _load(config, _STAGES)
     config.out.mkdir(parents=True, exist_ok=True)
-    dataset = _load(config)
     activity = SectorActivity.from_dataset(dataset)
     results = {name: run(config, dataset, activity) for name, run in _STAGES.items()}
     _manifest(config, "all", results)

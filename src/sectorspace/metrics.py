@@ -1,11 +1,12 @@
 """Distance and concentration analyses in full-dimensional sector space.
 
-Distances between group barycenters are computed on the pre-PCA
-coordinates (whatever dimensionality the profiles carry, i.e. with any
-excluded sectors already dropped) as stacked ``profiles.share_matrix``
-rows; only the heatmaps go through the 2-D projection, once per grid.
-All operations are pure functions of immutable inputs and order their
-per-year output by year.
+Every analysis reads a ``profiles.ProfileTable``: groups and years are row
+masks over it. Distances between group barycenters are computed on the
+pre-PCA coordinates (whatever dimensionality the table carries, i.e. with
+any excluded sectors already dropped) as ``profiles.share_matrix`` rows;
+only the heatmaps go through the 2-D projection, once per grid. All
+operations are pure functions of immutable inputs and order their per-year
+output by year.
 """
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import AnalysisError
 from .pca import BarycenterPoint, PCAModel, barycenter, project
-from .profiles import (GroupSpec, InvestorYearProfile, group_profiles, profiles_by_year,
-                       share_matrix)
+from .profiles import GroupSpec, ProfileTable, group_profiles, profiles_by_year, share_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ class DistanceSeries:
         return self.entries[int(np.argmin(self.distances))][0]
 
 
-def distance_series(profiles: list[InvestorYearProfile], group_a: GroupSpec,
+def distance_series(profiles: ProfileTable, group_a: GroupSpec,
                     group_b: GroupSpec, years=None,
                     investors: dict | None = None) -> DistanceSeries:
     """Yearly barycenter-to-barycenter distance between two groups.
@@ -120,13 +120,13 @@ def _bin_points(points: np.ndarray, x_edges: np.ndarray, y_edges: np.ndarray) ->
     return counts
 
 
-def heatmap_slice(profiles: list[InvestorYearProfile], model: PCAModel,
+def heatmap_slice(profiles: ProfileTable, model: PCAModel,
                   x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
     """Bin one year's projected strategies onto a fixed grid."""
-    return _bin_points(project(model, share_matrix(profiles)[0]), x_edges, y_edges)
+    return _bin_points(project(model, share_matrix(profiles)), x_edges, y_edges)
 
 
-def heatmap_grid(profiles: list[InvestorYearProfile], model: PCAModel,
+def heatmap_grid(profiles: ProfileTable, model: PCAModel,
                  n_x: int = 30, n_y: int = 30,
                  percentile_range: tuple[float, float] = (1.0, 99.0)) -> HeatmapGrid:
     """Shared-edges heatmap over all years, so yearly panels are comparable.
@@ -134,11 +134,11 @@ def heatmap_grid(profiles: list[InvestorYearProfile], model: PCAModel,
     Edges span the 1st-99th percentile of all projected points by default;
     the stragglers outside clamp into the border bins.
     """
-    unfiltered = [p for p in profiles if p.stage_filter is None]
-    if not unfiltered:
+    unfiltered = profiles.of_stage(None)
+    if not len(unfiltered):
         raise AnalysisError("no profiles to bin")
-    points = project(model, share_matrix(unfiltered)[0])
-    years = np.array([p.year for p in unfiltered])
+    points = project(model, share_matrix(unfiltered))
+    years = unfiltered.years
     lo, hi = np.percentile(points, percentile_range, axis=0)
     if not (hi > lo).all():
         raise AnalysisError("degenerate bin edges: projected points do not spread")
@@ -151,8 +151,7 @@ def heatmap_grid(profiles: list[InvestorYearProfile], model: PCAModel,
     return HeatmapGrid(x_edges=x_edges, y_edges=y_edges, counts=counts)
 
 
-def average_distance_to_barycenter(profiles: list[InvestorYearProfile]
-                                   ) -> tuple[float, float]:
+def average_distance_to_barycenter(profiles: ProfileTable) -> tuple[float, float]:
     """Mean distance of individual normalized strategies to their year barycenter.
 
     Every investor counts once regardless of activity volume; the second
@@ -161,13 +160,13 @@ def average_distance_to_barycenter(profiles: list[InvestorYearProfile]
     if len(profiles) < 2:
         raise AnalysisError("need at least 2 investors to measure spread")
     center = barycenter(profiles)
-    shares, _ = share_matrix(profiles)
+    shares = share_matrix(profiles)
     dists = np.sqrt(np.sum((shares - center.coords) ** 2, axis=1))
     return float(dists.mean()), float(dists.std(ddof=1) / np.sqrt(len(dists)))
 
 
-def spread_series(profiles: list[InvestorYearProfile]) -> list[tuple[int, float, float]]:
+def spread_series(profiles: ProfileTable) -> list[tuple[int, float, float]]:
     """Per-year (mean distance to barycenter, standard error), years ascending."""
-    by_year = profiles_by_year([p for p in profiles if p.stage_filter is None])
+    by_year = profiles_by_year(profiles.of_stage(None))
     return [(year, *average_distance_to_barycenter(year_profiles))
             for year, year_profiles in by_year.items() if len(year_profiles) >= 2]

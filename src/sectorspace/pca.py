@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AnalysisError
 from .ingest import StageClass
-from .profiles import InvestorYearProfile, profiles_by_year, share_matrix
+from .profiles import ProfileTable, profiles_by_year, share_matrix
 
 
 @dataclass(frozen=True)
@@ -205,17 +205,17 @@ class BarycenterPoint:
     sigma: np.ndarray
 
 
-def barycenter(profiles: list[InvestorYearProfile]) -> BarycenterPoint:
-    if not profiles:
+def barycenter(profiles: ProfileTable) -> BarycenterPoint:
+    if not len(profiles):
         raise AnalysisError("barycenter of an empty profile list")
-    years = {p.year for p in profiles}
+    years = np.unique(profiles.years).tolist()
     if len(years) != 1:
-        raise AnalysisError(f"profiles span multiple years: {sorted(years)}")
-    weights = np.array([p.vector.n_rounds for p in profiles])
+        raise AnalysisError(f"profiles span multiple years: {years}")
+    weights = profiles.rounds.sum(axis=1)
     active = weights > 0
     if not active.any():
         raise AnalysisError("all profiles have zero activity")
-    shares, _ = share_matrix([p for p, a in zip(profiles, active) if a])
+    shares = share_matrix(profiles.take(active))
     weights = weights[active]
     total = weights.sum()
     coords = weights @ shares / total
@@ -224,7 +224,7 @@ def barycenter(profiles: list[InvestorYearProfile]) -> BarycenterPoint:
         sigma = np.sqrt(dispersion)
     else:
         sigma = np.zeros_like(coords)
-    return BarycenterPoint(year=years.pop(), coords=coords, weight=float(total), sigma=sigma)
+    return BarycenterPoint(year=years[0], coords=coords, weight=float(total), sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -234,15 +234,14 @@ class TrajectoryPoint:
     sigma: np.ndarray
 
 
-def barycenter_trajectory(profiles: list[InvestorYearProfile], model: PCAModel,
+def barycenter_trajectory(profiles: ProfileTable, model: PCAModel,
                           stage: StageClass | None = None) -> list[TrajectoryPoint]:
     """Per-year barycenters projected into the model plane, years ascending.
 
-    ``stage`` selects profiles built with that stage filter; ``None`` takes
+    ``stage`` selects rows built with that stage filter; ``None`` takes
     the stage-unfiltered ones. Years with no matching activity are omitted.
     """
-    selected = [p for p in profiles if p.stage_filter is stage]
-    by_year = profiles_by_year(selected)
+    by_year = profiles_by_year(profiles.of_stage(stage))
     if not by_year:
         raise AnalysisError("no profiles to build a trajectory from")
     points = []
@@ -256,7 +255,6 @@ def barycenter_trajectory(profiles: list[InvestorYearProfile], model: PCAModel,
     return points
 
 
-def fit_on_profiles(profiles: list[InvestorYearProfile], n_components: int = 2) -> PCAModel:
+def fit_on_profiles(profiles: ProfileTable, n_components: int = 2) -> PCAModel:
     """Fit the shared plane on the pooled normalized investor-year matrix."""
-    matrix, _ = share_matrix(profiles)
-    return fit_pca_model(matrix, n_components)
+    return fit_pca_model(share_matrix(profiles), n_components)

@@ -1,4 +1,4 @@
-"""Per-investor, per-year sectoral strategy vectors.
+"""Per-investor, per-year sectoral strategy profiles, stacked as one table.
 
 Each round is split equally across the parent tags of its startup: with k
 parent tags, every participating investor books 1/k of a round (and 1/k of
@@ -9,15 +9,19 @@ along for reporting but are not used by the geometric analyses.
 A dataset is accumulated once into a :class:`SectorActivity`: round and
 amount arrays indexed by investor, year, stage slot (all rounds, then one
 slot per :class:`StageClass`) and parent sector. Every profile view is a
-slice of those arrays: :func:`build_profiles` picks the stage slot, the
-years window and the kept sectors, and :func:`stage_partition` slices the
-four stage slots of the same accumulation. :func:`share_matrix` is the one
-place where round counts become shares, stacked once per profile list.
+:class:`ProfileTable` sliced from those arrays: one row per investor-year,
+with per-row investor id, year and stage slot and stacked per-sector round
+and amount matrices. :func:`build_profiles` picks the stage slot, the years
+window and the kept sectors, and :func:`stage_partition` slices the four
+stage slots of the same accumulation. Group, year and stage selections are
+row masks over a table, :meth:`ProfileTable.concat` is the one place tables
+are joined, and :func:`share_matrix` is the one place where round counts
+become shares.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,31 +32,6 @@ from .ontology import SectorOntology
 logger = logging.getLogger(__name__)
 
 DEFAULT_YEARS = range(2000, 2018)
-
-
-@dataclass(frozen=True)
-class StrategyVector:
-    """Sectoral position of one investor in one year.
-
-    ``sectors`` fixes the dimension order; it is shared by every vector
-    built from the same ontology and options.
-    """
-
-    sectors: tuple[str, ...]
-    rounds_by_sector: np.ndarray
-    amount_by_sector: np.ndarray
-
-    @property
-    def n_rounds(self) -> float:
-        return float(self.rounds_by_sector.sum())
-
-
-@dataclass(frozen=True)
-class InvestorYearProfile:
-    investor_id: str
-    year: int
-    stage_filter: StageClass | None
-    vector: StrategyVector
 
 
 @dataclass(frozen=True)
@@ -88,7 +67,7 @@ class GroupSpec:
 
     Exactly one of ``investor_type`` and ``stage`` may be set; neither
     means "all". Type selectors and "all" match only stage-unfiltered
-    profiles, so mixed profile lists stay unambiguous.
+    rows, so tables that mix stage views stay unambiguous.
     """
 
     investor_type: str | None = None
@@ -124,8 +103,49 @@ def split_round(rnd: RawRound, parents, participation: float = 1.0
     return [(tag, participation / k, participation * amount / k) for tag in parents]
 
 
-STAGE_SLOTS = {stage: slot for slot, stage in enumerate(StageClass, start=1)}
-N_SLOTS = len(STAGE_SLOTS) + 1
+# slot 0 books every round, slot s only the rounds of stage SLOT_STAGES[s]
+SLOT_STAGES = (None, *StageClass)
+STAGE_SLOTS = {stage: slot for slot, stage in enumerate(SLOT_STAGES)}
+N_SLOTS = len(SLOT_STAGES)
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """Investor-year profiles stacked as rows over one sector order.
+
+    Row r is investor ``investor_ids[r]`` in year ``years[r]``, booked from
+    the rounds of stage slot ``slots[r]`` (0 = every round, then
+    ``STAGE_SLOTS[stage]``); ``rounds[r]`` and ``amounts[r]`` hold its round
+    weight and amount per sector, columns in ``sectors`` order.
+    """
+
+    sectors: tuple[str, ...]
+    investor_ids: np.ndarray
+    years: np.ndarray
+    slots: np.ndarray
+    rounds: np.ndarray
+    amounts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.years)
+
+    def take(self, rows) -> "ProfileTable":
+        """The rows a boolean mask, an index array or a slice picks, in that order."""
+        return ProfileTable(self.sectors, self.investor_ids[rows], self.years[rows],
+                            self.slots[rows], self.rounds[rows], self.amounts[rows])
+
+    def of_stage(self, stage: StageClass | None) -> "ProfileTable":
+        """Rows booked from the rounds of ``stage`` (``None``: from every round)."""
+        return self.take(self.slots == STAGE_SLOTS[stage])
+
+    @classmethod
+    def concat(cls, tables) -> "ProfileTable":
+        """The rows of ``tables`` one after another; they must share one sector order."""
+        tables = list(tables)
+        if len({table.sectors for table in tables}) != 1:
+            raise AnalysisError("profiles carry differing sector orders")
+        return cls(tables[0].sectors, *(np.concatenate([getattr(t, f.name) for t in tables])
+                                        for f in fields(cls)[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +243,8 @@ def _activity(source, ontology: SectorOntology | None) -> SectorActivity:
 
 def build_profiles(dataset: ValidatedDataset | SectorActivity,
                    ontology: SectorOntology | None = None,
-                   options: ProfileOptions = ProfileOptions()) -> list[InvestorYearProfile]:
-    """One profile per (investor, year) with any activity, sorted by id then year.
+                   options: ProfileOptions = ProfileOptions()) -> ProfileTable:
+    """One row per (investor, year) with any activity, sorted by id then year.
 
     ``dataset`` is a dataset, accumulated here, or a :class:`SectorActivity`
     already accumulated from one, which is only sliced. Years outside
@@ -240,7 +260,7 @@ def build_profiles(dataset: ValidatedDataset | SectorActivity,
             if year in options.years:
                 classify_stage(label, strict=True)
     in_window = np.array([int(y) in options.years for y in activity.years], dtype=bool)
-    slot = STAGE_SLOTS.get(options.stage_filter, 0)
+    slot = STAGE_SLOTS[options.stage_filter]
     sectors = options.effective_sectors(activity.ontology)
     columns = [activity.ontology.index(tag) for tag in sectors]
     rounds = activity.rounds[:, in_window, slot][..., columns]
@@ -252,69 +272,51 @@ def build_profiles(dataset: ValidatedDataset | SectorActivity,
 
     active = rounds.sum(axis=-1) > 0
     investor_rows, year_rows = np.nonzero(active)
-    years = activity.years[in_window]
-    return [
-        InvestorYearProfile(
-            investor_id=activity.investor_ids[i],
-            year=int(years[j]),
-            stage_filter=options.stage_filter,
-            vector=StrategyVector(sectors, rounds_vec, amount_vec),
-        )
-        for i, j, rounds_vec, amount_vec in zip(
-            investor_rows.tolist(), year_rows.tolist(), rounds[active], amounts[active])
-    ]
+    return ProfileTable(sectors, np.array(activity.investor_ids, dtype=str)[investor_rows],
+                        activity.years[in_window][year_rows], np.full(investor_rows.size, slot),
+                        rounds[active], amounts[active])
 
 
-def group_profiles(profiles, spec: GroupSpec,
-                   investors: dict | None = None) -> list[InvestorYearProfile]:
-    """Subset of ``profiles`` matching a group selector.
+def group_profiles(profiles: ProfileTable, spec: GroupSpec,
+                   investors: dict | None = None) -> ProfileTable:
+    """Rows of ``profiles`` matching a group selector.
 
     Type selectors need the ``investors`` id -> :class:`RawInvestor`
     mapping (e.g. ``dataset.investor_by_id``) and reject labels no
     investor in the table carries.
     """
-    if spec.stage is not None:
-        return [p for p in profiles if p.stage_filter is spec.stage]
-    unfiltered = [p for p in profiles if p.stage_filter is None]
     if spec.investor_type is None:
-        return unfiltered
+        return profiles.of_stage(spec.stage)
     if investors is None:
         raise AnalysisError("type-based grouping needs the investor table")
     known = {inv.type_label for inv in investors.values()}
     if spec.investor_type not in known:
         raise AnalysisError(f"no investor has type {spec.investor_type!r}")
-    return [
-        p for p in unfiltered
-        if p.investor_id in investors and investors[p.investor_id].type_label == spec.investor_type
-    ]
+    members = [iid for iid, inv in investors.items() if inv.type_label == spec.investor_type]
+    unfiltered = profiles.of_stage(None)
+    return unfiltered.take(np.isin(unfiltered.investor_ids, members))
 
 
-def profiles_by_year(profiles) -> dict[int, list[InvestorYearProfile]]:
-    out: dict[int, list[InvestorYearProfile]] = {}
-    for p in profiles:
-        out.setdefault(p.year, []).append(p)
-    return dict(sorted(out.items()))
+def profiles_by_year(profiles: ProfileTable) -> dict[int, ProfileTable]:
+    """The rows of each year, years ascending, rows in table order."""
+    return {year: profiles.take(profiles.years == year)
+            for year in np.unique(profiles.years).tolist()}
 
 
-def share_matrix(profiles) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Stack the round counts of ``profiles`` as rows of shares summing to 1.
-
-    Returns the matrix and the (investor_id, year) row labels in order.
-    """
-    if not profiles:
+def share_matrix(profiles: ProfileTable) -> np.ndarray:
+    """The round counts of ``profiles`` as rows of shares summing to 1."""
+    if not len(profiles):
         raise AnalysisError("no profiles to stack")
-    counts = np.vstack([p.vector.rounds_by_sector for p in profiles])
-    totals = counts.sum(axis=1, keepdims=True)
+    totals = profiles.rounds.sum(axis=1, keepdims=True)
     if (totals <= 0).any():
         raise AnalysisError("cannot normalize an all-zero strategy vector")
-    labels = [(p.investor_id, p.year) for p in profiles]
-    return counts / totals, labels
+    return profiles.rounds / totals
 
 
 def stage_partition(dataset: ValidatedDataset | SectorActivity,
                     ontology: SectorOntology | None = None,
                     options: ProfileOptions = ProfileOptions()
-                    ) -> dict[StageClass, list[InvestorYearProfile]]:
+                    ) -> dict[StageClass, ProfileTable]:
     """Profiles of each stage bucket, sliced from one accumulation."""
     activity = _activity(dataset, ontology)
     return {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import DistanceSeries, HeatmapGrid
 from .pca import PCAModel, TrajectoryPoint
-from .profiles import InvestorYearProfile
+from .profiles import SLOT_STAGES, ProfileTable
 from .tca import CPModel, FitDiagnostics
 
 try:
@@ -179,17 +179,14 @@ def write_spread(path, series: list[tuple[int, float, float]]) -> Path:
     return write_rows(path, ["year", "mean_distance", "sigma"], series)
 
 
-def write_profiles(path, profiles: list[InvestorYearProfile]) -> Path:
-    """Flat dump of every nonzero (investor, year, stage, sector) cell."""
-    rows = []
-    for p in profiles:
-        stage = p.stage_filter.value if p.stage_filter is not None else "all"
-        for idx, sector in enumerate(p.vector.sectors):
-            count = p.vector.rounds_by_sector[idx]
-            if count == 0:
-                continue
-            rows.append([p.investor_id, p.year, stage, sector, count,
-                         p.vector.amount_by_sector[idx]])
+def write_profiles(path, profiles: ProfileTable) -> Path:
+    """Flat dump of every nonzero (investor, year, stage, sector) cell, row by row."""
+    stages = np.array(["all" if stage is None else stage.value for stage in SLOT_STAGES])
+    row, col = np.nonzero(profiles.rounds)
+    rows = zip(profiles.investor_ids[row].tolist(), profiles.years[row].tolist(),
+               stages[profiles.slots[row]].tolist(),
+               np.array(profiles.sectors, dtype=str)[col].tolist(),
+               profiles.rounds[row, col].tolist(), profiles.amounts[row, col].tolist())
     return write_rows(
         path, ["investor_id", "year", "stage", "sector", "rounds", "amount"], rows
     )

@@ -26,7 +26,7 @@ import numpy.random  # noqa: F401
 from .errors import AnalysisError
 from .ingest import RawInvestor
 from .pca import StandardizationParams, standardize
-from .profiles import InvestorYearProfile
+from .profiles import ProfileTable
 
 logger = logging.getLogger(__name__)
 
@@ -51,37 +51,33 @@ class StrategyTensor:
         return self.values.shape
 
 
-def build_tensor(profiles: list[InvestorYearProfile], years, sectors) -> StrategyTensor:
+def build_tensor(profiles: ProfileTable, years, sectors) -> StrategyTensor:
     """Assemble and per-slice standardize the activity tensor.
 
-    ``sectors`` is an ontology or an explicit tag tuple; profile sectors it
-    lacks are left out. The profiles share one sector order, as every
-    ``build_profiles`` result does. Investors keep the same row in every
-    yearly slice; rows for inactive years stay zero until standardization
-    recenters them. Needs at least two years and two investors, otherwise
-    the temporal factor (or a fiber std) is undefined.
+    The table's round rows are scattered into the tensor in one pass: each
+    row lands in its investor's row (investors sorted) and its year's slab;
+    rows of years outside ``years`` are left out. ``sectors`` is an ontology
+    or an explicit tag tuple; table sectors it lacks are left out. Investors
+    keep the same row in every yearly slice; rows for inactive years stay
+    zero until standardization recenters them. Needs at least two years and
+    two investors, otherwise the temporal factor (or a fiber std) is
+    undefined.
     """
     sector_names = tuple(getattr(sectors, "parent_tags", sectors))
     years = tuple(sorted(years))
     if len(years) < 2:
         raise AnalysisError("tensor needs at least 2 years")
-    investor_ids = tuple(sorted({p.investor_id for p in profiles}))
+    investor_ids, i = np.unique(profiles.investor_ids, return_inverse=True)
     if len(investor_ids) < 2:
         raise AnalysisError("tensor needs at least 2 investors")
-    if len({p.vector.sectors for p in profiles}) > 1:
-        raise AnalysisError("profiles carry differing sector orders")
-    row = {iid: i for i, iid in enumerate(investor_ids)}
-    slab = {year: k for k, year in enumerate(years)}
 
-    # (tensor column, profile column) of every tag both sector lists name
+    # (tensor column, table column) of every tag both sector lists name
     col, src = np.nonzero(np.array(sector_names, dtype=str)[:, None]
-                          == np.array(profiles[0].vector.sectors, dtype=str))
-    counts = np.vstack([p.vector.rounds_by_sector for p in profiles])[:, src]
-    i = np.array([row[p.investor_id] for p in profiles])
-    k = np.array([slab.get(p.year, -1) for p in profiles])
-    kept = k >= 0
+                          == np.array(profiles.sectors, dtype=str))
+    k = np.searchsorted(years, profiles.years)
+    kept = np.isin(profiles.years, years)
     values = np.zeros((len(investor_ids), len(sector_names), len(years)))
-    np.add.at(values, (i[kept, None], col, k[kept, None]), counts[kept])
+    np.add.at(values, (i[kept, None], col, k[kept, None]), profiles.rounds[kept][:, src])
 
     params = []
     for k in range(len(years)):
@@ -90,7 +86,7 @@ def build_tensor(profiles: list[InvestorYearProfile], years, sectors) -> Strateg
         params.append(p_k)
     return StrategyTensor(
         values=values,
-        investor_ids=investor_ids,
+        investor_ids=tuple(investor_ids.tolist()),
         sectors=sector_names,
         years=years,
         standardization=tuple(params),

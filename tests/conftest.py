@@ -14,7 +14,7 @@ from sectorspace.ingest import (
     ValidatedDataset,
 )
 from sectorspace.ontology import SectorOntology
-from sectorspace.profiles import InvestorYearProfile, StrategyVector
+from sectorspace.profiles import STAGE_SLOTS, ProfileTable
 
 TAGS4 = ("Alpha", "Beta", "Gamma", "Delta")
 
@@ -70,7 +70,7 @@ def make_dataset(startups, rounds, investors, ontology=None):
 
 def make_profiles(matrix, year=2010, weights=None, sectors=None, stage=None,
                   investor_ids=None):
-    """Wrap share rows as one profile per investor for a single year.
+    """Wrap share rows as a profile table, one row per investor, for a single year.
 
     Row i becomes investor i's normalized strategy; ``weights[i]`` is its
     round count (the barycenter weight n_i), default 1.
@@ -79,20 +79,17 @@ def make_profiles(matrix, year=2010, weights=None, sectors=None, stage=None,
     n, p = matrix.shape
     if sectors is None:
         sectors = tuple(f"S{j:02d}" for j in range(p))
-    else:
-        sectors = tuple(sectors)
     if weights is None:
         weights = np.ones(n)
-    profiles = []
-    for i in range(n):
-        rounds = matrix[i] * weights[i]
-        profiles.append(InvestorYearProfile(
-            investor_id=investor_ids[i] if investor_ids else f"inv{i:03d}",
-            year=year,
-            stage_filter=stage,
-            vector=StrategyVector(sectors, rounds, rounds * 1e6),
-        ))
-    return profiles
+    rounds = matrix * np.asarray(weights, dtype=float)[:, None]
+    return ProfileTable(
+        sectors=tuple(sectors),
+        investor_ids=np.array(investor_ids or [f"inv{i:03d}" for i in range(n)], dtype=str),
+        years=np.full(n, year),
+        slots=np.full(n, STAGE_SLOTS[stage]),
+        rounds=rounds,
+        amounts=rounds * 1e6,
+    )
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from sectorspace.errors import AnalysisError
 from sectorspace.profiles import (
     GroupSpec,
     ProfileOptions,
+    ProfileTable,
     build_profiles,
     stage_partition,
 )
@@ -65,10 +66,9 @@ def test_c1_barycenter_oracle(capsys):
     worst = 0.0
     for profiles in fixtures:
         point = pca.barycenter(profiles)
-        acc = np.zeros(len(profiles[0].vector.sectors))
+        acc = np.zeros(len(profiles.sectors))
         total = 0.0
-        for profile in profiles:
-            counts = np.asarray(profile.vector.rounds_by_sector, dtype=float)
+        for counts in profiles.rounds:
             acc += counts
             total += counts.sum()
         worst = max(worst, float(np.abs(point.coords - acc / total).max()))
@@ -263,9 +263,8 @@ def _check_convergence_minimum(seed, root):
 def _check_stage_ordering(seed, root):
     config, truth, dataset = _load_scenario("stage_offsets", seed, root)
     options = ProfileOptions(exclude_sectors=frozenset(), years=config.years)
-    profiles = build_profiles(dataset, options=options)
-    for stage_profiles in stage_partition(dataset, options=options).values():
-        profiles = profiles + stage_profiles
+    profiles = ProfileTable.concat([build_profiles(dataset, options=options),
+                                    *stage_partition(dataset, options=options).values()])
     minima = []
     for stage in STAGES:
         series = metrics.distance_series(
@@ -298,7 +297,7 @@ def _check_concentration(seed, root):
 def _check_emerging_cohort(seed, root):
     config, truth, dataset = _load_scenario("emergence", seed, root)
     profiles, _ = _all_profiles(dataset, config.years)
-    years = sorted({p.year for p in profiles})
+    years = np.unique(profiles.years).tolist()
     tensor = tca.build_tensor(profiles, years, dataset.ontology)
     models = [tca.cp_als(tensor, 2, seed=tca._restart_seed(seed, 2, j))
               for j in range(5)]

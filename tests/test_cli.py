@@ -166,6 +166,28 @@ class TestParser:
         assert args.grid == (30, 30)
 
 
+class TestPcaDim:
+    """``--pca-dim`` is checked against the kept sectors before any file is written."""
+
+    @pytest.mark.parametrize("command", ["all", "pca"])
+    def test_above_kept_sectors_exits_before_writing(self, smoke_dir, tmp_path, capsys,
+                                                     command):
+        out = tmp_path / "out"
+        code = cli.main([command, *table_flags(smoke_dir), "--pca-dim", "7",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: --pca-dim 7" in err and "6 kept sectors" in err
+        assert not out.exists()
+
+    def test_every_kept_sector_is_accepted(self, smoke_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["pca", *table_flags(smoke_dir), "--pca-dim", "6",
+                         "--out", str(out)]) == 0
+        with (out / "pca_loadings.csv").open(newline="") as handle:
+            assert next(csv.reader(handle))[-1] == "axis6"
+
+
 class TestValidate:
     def test_clean_dataset(self, smoke_dir, capsys):
         code = cli.main(["validate", *table_flags(smoke_dir)])
@@ -371,6 +393,49 @@ class TestExcludeSector:
         assert self.profile_sectors(out) == {"Energy", "Health Care"}
         manifest = json.loads((out / "manifest_profiles.json").read_text())
         assert manifest["config"]["exclude_sectors"] == []
+
+
+class TestStage:
+    @pytest.fixture()
+    def staged_dir(self, tmp_path):
+        write_csv(tmp_path / "startups.csv",
+                  ["startup_id", "name", "country_code", "status",
+                   "founded_date", "tags"],
+                  [["s1", "Grid", "USA", "active", "2005-04-01", "Energy"],
+                   ["s2", "Fleet", "USA", "active", "2005-04-01", "Energy|Transportation"]])
+        write_csv(tmp_path / "rounds.csv",
+                  ["round_id", "startup_id", "announced_date", "stage_label",
+                   "amount_usd", "investor_ids"],
+                  [["r1", "s1", "2010-05-01", "seed", "500000", "i1"],
+                   ["r2", "s2", "2010-06-01", "Seed", "800000", "i1|i2"],
+                   ["r3", "s1", "2010-07-01", "Series A", "900000", "i1"],
+                   ["r4", "s2", "2011-06-01", "series b", "700000", "i2"],
+                   ["r5", "s2", "2012-06-01", "seed", "600000", "i3"]])
+        write_csv(tmp_path / "investors.csv",
+                  ["investor_id", "name", "type_label"],
+                  [["i1", "Alpha Fund", "vc"], ["i2", "Beta Fund", "vc"],
+                   ["i3", "Gamma Lab", "accelerator"]])
+        return tmp_path
+
+    def test_profiles_keep_only_the_stage_rounds(self, staged_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["profiles", *table_flags(staged_dir, ontology=False),
+                         "--stage", "seed", "--out", str(out)])
+        assert code == 0
+        with (out / "profiles.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [
+            ["investor_id", "year", "stage", "sector", "rounds", "amount"],
+            ["i1", "2010", "seed", "Energy", "1.5", "900000.0"],
+            ["i1", "2010", "seed", "Transportation", "0.5", "400000.0"],
+            ["i2", "2010", "seed", "Energy", "0.5", "400000.0"],
+            ["i2", "2010", "seed", "Transportation", "0.5", "400000.0"],
+            ["i3", "2012", "seed", "Energy", "0.5", "300000.0"],
+            ["i3", "2012", "seed", "Transportation", "0.5", "300000.0"],
+        ]
+        manifest = json.loads((out / "manifest_profiles.json").read_text())
+        assert manifest["config"]["stage"] == "seed"
+        assert manifest["results"]["profiles"] == 3
 
 
 def test_traced_names_resolve():

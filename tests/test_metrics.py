@@ -19,7 +19,7 @@ from sectorspace.metrics import (
     spread_series,
 )
 from sectorspace.pca import BarycenterPoint, barycenter, fit_on_profiles
-from sectorspace.profiles import GroupSpec
+from sectorspace.profiles import GroupSpec, ProfileTable
 
 from conftest import make_investor, make_profiles
 
@@ -120,15 +120,15 @@ class TestDistanceSeries:
             "vc0": make_investor("vc0", "vc"),
             "vc1": make_investor("vc1", "vc"),
         }
-        profiles = []
+        tables = []
         for year in (2010, 2011, 2012):
-            profiles += make_profiles(
+            tables.append(make_profiles(
                 np.array([[1.0, 0.0], [0.8, 0.2]]), year=year,
-                investor_ids=["vc0", "vc1"])
+                investor_ids=["vc0", "vc1"]))
             if year != 2011:  # gap year for the accelerator
-                profiles += make_profiles(
-                    np.array([[0.0, 1.0]]), year=year, investor_ids=["acc0"])
-        return profiles, investors
+                tables.append(make_profiles(
+                    np.array([[0.0, 1.0]]), year=year, investor_ids=["acc0"]))
+        return ProfileTable.concat(tables), investors
 
     def test_same_group_all_zero(self):
         profiles, investors = self.two_group_profiles()
@@ -147,10 +147,10 @@ class TestDistanceSeries:
 
     def test_no_common_year_is_error(self):
         _, investors = self.two_group_profiles()
-        disjoint = (
-            make_profiles(np.eye(2), year=2012, investor_ids=["vc0", "vc1"])
-            + make_profiles(np.array([[0.0, 1.0]]), year=2010, investor_ids=["acc0"])
-        )
+        disjoint = ProfileTable.concat([
+            make_profiles(np.eye(2), year=2012, investor_ids=["vc0", "vc1"]),
+            make_profiles(np.array([[0.0, 1.0]]), year=2010, investor_ids=["acc0"]),
+        ])
         with pytest.raises(AnalysisError, match="no active year"):
             distance_series(disjoint, GroupSpec(investor_type="vc"),
                             GroupSpec(investor_type="accelerator"),
@@ -166,10 +166,12 @@ class TestDistanceSeries:
     def test_minimum_year(self):
         profiles, investors = self.two_group_profiles()
         # move the 2012 vc block onto the accelerator so 2012 is the minimum
-        profiles = [
-            p for p in profiles if not (p.year == 2012 and p.investor_id.startswith("vc"))
-        ] + make_profiles(np.array([[0.1, 0.9], [0.0, 1.0]]), year=2012,
-                          investor_ids=["vc0", "vc1"])
+        moved = (profiles.years == 2012) & np.char.startswith(profiles.investor_ids, "vc")
+        profiles = ProfileTable.concat([
+            profiles.take(~moved),
+            make_profiles(np.array([[0.1, 0.9], [0.0, 1.0]]), year=2012,
+                          investor_ids=["vc0", "vc1"]),
+        ])
         series = distance_series(profiles, GroupSpec(investor_type="vc"),
                                  GroupSpec(investor_type="accelerator"),
                                  investors=investors)
@@ -180,19 +182,19 @@ class TestHeatmap:
     @staticmethod
     def spread_profiles(n=40, years=(2010, 2011), seed=34):
         rng = np.random.default_rng(seed)
-        profiles = []
+        tables = []
         for year in years:
             raw = rng.random((n, 4)) + 0.05
             shares = raw / raw.sum(axis=1, keepdims=True)
-            profiles.extend(make_profiles(shares, year=year,
-                                          investor_ids=[f"i{k:03d}" for k in range(n)]))
-        return profiles
+            tables.append(make_profiles(shares, year=year,
+                                        investor_ids=[f"i{k:03d}" for k in range(n)]))
+        return ProfileTable.concat(tables)
 
     def test_single_investor_single_cell(self):
         profiles = self.spread_profiles()
         model = fit_on_profiles(profiles, 2)
         grid = heatmap_grid(profiles, model, n_x=8, n_y=8)
-        one = heatmap_slice(profiles[:1], model, grid.x_edges, grid.y_edges)
+        one = heatmap_slice(profiles.take(slice(1)), model, grid.x_edges, grid.y_edges)
         assert one.sum() == 1
         assert (one > 0).sum() == 1
 
@@ -202,7 +204,7 @@ class TestHeatmap:
         for n_x, n_y in ((5, 7), (30, 30)):
             grid = heatmap_grid(profiles, model, n_x=n_x, n_y=n_y)
             for year, counts in grid.counts.items():
-                assert counts.sum() == sum(1 for p in profiles if p.year == year)
+                assert counts.sum() == sum(1 for y in profiles.years if y == year)
 
     def test_out_of_range_points_clamp(self):
         profiles = self.spread_profiles()
@@ -214,8 +216,10 @@ class TestHeatmap:
 
     def test_degenerate_edges_error(self):
         model = fit_on_profiles(self.spread_profiles(), 2)
-        profiles = make_profiles(np.tile([0.5, 0.5, 0.5, 0.5], (4, 1)), year=2010) + \
-            make_profiles(np.tile([0.5, 0.5, 0.5, 0.5], (4, 1)), year=2011)
+        profiles = ProfileTable.concat([
+            make_profiles(np.tile([0.5, 0.5, 0.5, 0.5], (4, 1)), year=2010),
+            make_profiles(np.tile([0.5, 0.5, 0.5, 0.5], (4, 1)), year=2011),
+        ])
         with pytest.raises(AnalysisError, match="degenerate"):
             heatmap_grid(profiles, model, n_x=5, n_y=5)
 
@@ -272,12 +276,12 @@ class TestSpread:
         assert mean == pytest.approx(expected, abs=1e-12)
 
     def test_series_skips_thin_years_and_stage_profiles(self):
-        profiles = (
-            make_profiles(np.eye(2), year=2010)
-            + make_profiles(np.array([[0.5, 0.5]]), year=2011)
-            + make_profiles(np.eye(2), year=2012)
-            + make_profiles(np.eye(2), year=2012, stage=StageClass.SEED)
-        )
+        profiles = ProfileTable.concat([
+            make_profiles(np.eye(2), year=2010),
+            make_profiles(np.array([[0.5, 0.5]]), year=2011),
+            make_profiles(np.eye(2), year=2012),
+            make_profiles(np.eye(2), year=2012, stage=StageClass.SEED),
+        ])
         series = spread_series(profiles)
         assert [year for year, _, _ in series] == [2010, 2012]
         for _, mean, _ in series:

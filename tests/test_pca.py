@@ -21,6 +21,7 @@ from sectorspace.pca import (
     sector_positions,
     standardize,
 )
+from sectorspace.profiles import ProfileTable
 
 from conftest import make_profiles
 
@@ -233,7 +234,7 @@ class TestBarycenter:
         shares = raw / raw.sum(axis=1, keepdims=True)
         profiles = make_profiles(shares, weights=rng.integers(1, 7, 8))
         forward = barycenter(profiles)
-        backward = barycenter(profiles[::-1])
+        backward = barycenter(profiles.take(slice(None, None, -1)))
         np.testing.assert_allclose(forward.coords, backward.coords, atol=1e-12)
         np.testing.assert_allclose(forward.sigma, backward.sigma, atol=1e-12)
 
@@ -248,8 +249,9 @@ class TestBarycenter:
 
     def test_input_validation(self):
         with pytest.raises(AnalysisError):
-            barycenter([])
-        mixed = make_profiles(np.eye(2), year=2010) + make_profiles(np.eye(2), year=2011)
+            barycenter(make_profiles(np.eye(2)).take(slice(0, 0)))
+        mixed = ProfileTable.concat([make_profiles(np.eye(2), year=2010),
+                                     make_profiles(np.eye(2), year=2011)])
         with pytest.raises(AnalysisError, match="multiple years"):
             barycenter(mixed)
 
@@ -258,21 +260,21 @@ class TestTrajectory:
     @staticmethod
     def drifting_profiles(years=range(2005, 2012), n=20, noise=0.02, seed=21):
         rng = np.random.default_rng(seed)
-        profiles = []
+        tables = []
         for t, year in enumerate(years):
             alpha = t / (len(years) - 1)
             base = np.array([1.0 - alpha, alpha, 0.35])
             raw = np.clip(base + noise * rng.standard_normal((n, 3)), 1e-3, None)
             shares = raw / raw.sum(axis=1, keepdims=True)
-            profiles.extend(make_profiles(
+            tables.append(make_profiles(
                 shares, year=year,
                 investor_ids=[f"inv{i:03d}" for i in range(n)]))
-        return profiles
+        return ProfileTable.concat(tables)
 
     def test_single_year_composes_project_and_barycenter(self):
         profiles = self.drifting_profiles(years=[2010, 2011])
         model = fit_on_profiles(profiles, 2)
-        one_year = [p for p in profiles if p.year == 2010]
+        one_year = profiles.take(profiles.years == 2010)
         points = barycenter_trajectory(one_year, model)
         assert len(points) == 1
         center = barycenter(one_year)
@@ -284,9 +286,11 @@ class TestTrajectory:
     def test_stage_selection(self):
         base = make_profiles(np.eye(2), year=2010)
         seed = make_profiles(np.eye(2)[::-1], year=2010, stage=StageClass.SEED)
-        model = fit_on_profiles(base + make_profiles(np.eye(2), year=2011), 2)
-        all_points = barycenter_trajectory(base + seed, model)
-        seed_points = barycenter_trajectory(base + seed, model, stage=StageClass.SEED)
+        model = fit_on_profiles(
+            ProfileTable.concat([base, make_profiles(np.eye(2), year=2011)]), 2)
+        mixed = ProfileTable.concat([base, seed])
+        all_points = barycenter_trajectory(mixed, model)
+        seed_points = barycenter_trajectory(mixed, model, stage=StageClass.SEED)
         assert len(all_points) == len(seed_points) == 1
         with pytest.raises(AnalysisError):
             barycenter_trajectory(base, model, stage=StageClass.SERIES_A)

@@ -1,4 +1,4 @@
-"""Strategy-vector construction: splitting, aggregation, grouping."""
+"""Profile-table construction: splitting, aggregation, grouping."""
 from __future__ import annotations
 
 import random
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from sectorspace.errors import AnalysisError, StageError
 from sectorspace.ingest import StageClass, ValidatedDataset, classify_stage
 from sectorspace.profiles import (
+    STAGE_SLOTS,
     GroupSpec,
-    InvestorYearProfile,
     ProfileOptions,
+    ProfileTable,
     SectorActivity,
-    StrategyVector,
     build_profiles,
     group_profiles,
     share_matrix,
@@ -71,10 +71,9 @@ class TestBuildProfiles:
         )
         profiles = build_profiles(dataset, options=NO_EXCLUDE)
         assert len(profiles) == 1
-        p = profiles[0]
-        assert (p.investor_id, p.year) == ("i1", 2010)
-        assert p.vector.sectors == TAGS4
-        np.testing.assert_allclose(p.vector.rounds_by_sector, [0.5, 0.5, 0, 0])
+        assert labels(profiles) == [("i1", 2010)]
+        assert profiles.sectors == TAGS4
+        np.testing.assert_allclose(profiles.rounds[0], [0.5, 0.5, 0, 0])
 
     def test_inactive_years_are_absent(self, small_ontology):
         dataset = make_dataset(
@@ -85,7 +84,7 @@ class TestBuildProfiles:
             small_ontology,
         )
         profiles = build_profiles(dataset, options=NO_EXCLUDE)
-        assert [(p.investor_id, p.year) for p in profiles] == [("i1", 2010), ("i1", 2012)]
+        assert labels(profiles) == [("i1", 2010), ("i1", 2012)]
 
     def test_per_sector_totals_match_brute_force(self, small_ontology):
         rng = random.Random(7)
@@ -107,7 +106,9 @@ class TestBuildProfiles:
             tags = dataset.startup_by_id[rnd.startup_id].tags
             for tag in tags:
                 expected[tag] += len(rnd.investor_ids) / len(tags)
-        totals = np.sum([p.vector.rounds_by_sector for p in profiles], axis=0)
+        totals = np.zeros(len(TAGS4))
+        for counts in profiles.rounds:
+            totals += counts
         np.testing.assert_allclose(totals, [expected[t] for t in TAGS4], atol=1e-9)
 
     def test_stage_filter_restricts(self, tiny_dataset):
@@ -116,8 +117,8 @@ class TestBuildProfiles:
             options=ProfileOptions(exclude_sectors=frozenset(),
                                    stage_filter=StageClass.SEED),
         )
-        assert [(p.investor_id, p.year) for p in seed_only] == [("i1", 2010)]
-        assert all(p.stage_filter is StageClass.SEED for p in seed_only)
+        assert labels(seed_only) == [("i1", 2010)]
+        assert seed_only.slots.tolist() == [STAGE_SLOTS[StageClass.SEED]]
 
     def test_exclude_modes(self, small_ontology):
         dataset = make_dataset(
@@ -128,21 +129,21 @@ class TestBuildProfiles:
         )
         dropped = build_profiles(
             dataset, options=ProfileOptions(exclude_sectors=frozenset({"Beta"})))
-        assert dropped[0].vector.sectors == ("Alpha", "Gamma", "Delta")
-        np.testing.assert_allclose(dropped[0].vector.rounds_by_sector, [0.5, 0, 0])
+        assert dropped.sectors == ("Alpha", "Gamma", "Delta")
+        np.testing.assert_allclose(dropped.rounds[0], [0.5, 0, 0])
 
         zeroed = build_profiles(
             dataset, options=ProfileOptions(exclude_sectors=frozenset({"Beta"}),
                                             exclude_mode="zero"))
-        assert zeroed[0].vector.sectors == TAGS4
-        np.testing.assert_allclose(zeroed[0].vector.rounds_by_sector, [0.5, 0, 0, 0])
+        assert zeroed.sectors == TAGS4
+        np.testing.assert_allclose(zeroed.rounds[0], [0.5, 0, 0, 0])
 
     def test_years_window(self, tiny_dataset):
         profiles = build_profiles(
             tiny_dataset,
             options=ProfileOptions(exclude_sectors=frozenset(), years=range(2010, 2011)),
         )
-        assert {p.year for p in profiles} == {2010}
+        assert set(profiles.years.tolist()) == {2010}
         with pytest.raises(AnalysisError, match="empty years"):
             build_profiles(tiny_dataset,
                            options=ProfileOptions(years=range(2010, 2010)))
@@ -166,10 +167,7 @@ class TestBuildProfiles:
         )
         a = build_profiles(tiny_dataset, options=NO_EXCLUDE)
         b = build_profiles(reversed_dataset, options=NO_EXCLUDE)
-        assert [(p.investor_id, p.year) for p in a] == [(p.investor_id, p.year) for p in b]
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.vector.rounds_by_sector,
-                                          pb.vector.rounds_by_sector)
+        assert_same_profiles(a, b)
 
 
 @settings(deadline=None, max_examples=25)
@@ -195,7 +193,7 @@ def test_mass_conservation(data):
     ]
     dataset = make_dataset(startups, rounds, investors, ontology)
     profiles = build_profiles(dataset, options=NO_EXCLUDE)
-    total = sum(p.vector.n_rounds for p in profiles)
+    total = sum(float(counts.sum()) for counts in profiles.rounds)
     assert total == pytest.approx(sum(len(r.investor_ids) for r in rounds), abs=1e-9)
 
 
@@ -233,21 +231,30 @@ def reference_profiles(dataset, options):
                     continue
                 rounds_vec[idx] += participation / k
                 amount_vec[idx] += participation * amount / k
-    return [
-        InvestorYearProfile(iid, year, options.stage_filter,
-                            StrategyVector(sectors, *acc[(iid, year)]))
-        for iid, year in sorted(acc) if acc[(iid, year)][0].sum() > 0
-    ]
+    keys = [key for key in sorted(acc) if acc[key][0].sum() > 0]
+    return ProfileTable(
+        sectors=sectors,
+        investor_ids=np.array([iid for iid, _ in keys], dtype=str),
+        years=np.array([year for _, year in keys], dtype=int),
+        slots=np.full(len(keys), STAGE_SLOTS[options.stage_filter]),
+        rounds=np.array([acc[key][0] for key in keys]).reshape(len(keys), len(sectors)),
+        amounts=np.array([acc[key][1] for key in keys]).reshape(len(keys), len(sectors)),
+    )
+
+
+def labels(profiles):
+    return list(zip(profiles.investor_ids.tolist(), profiles.years.tolist()))
 
 
 def assert_same_profiles(got, expected):
-    assert [(p.investor_id, p.year, p.stage_filter) for p in got] == [
-        (p.investor_id, p.year, p.stage_filter) for p in expected]
-    for a, b in zip(got, expected):
-        assert type(a.year) is int
-        assert a.vector.sectors == b.vector.sectors
-        assert a.vector.rounds_by_sector.tobytes() == b.vector.rounds_by_sector.tobytes()
-        assert a.vector.amount_by_sector.tobytes() == b.vector.amount_by_sector.tobytes()
+    """Same rows in the same order, every count and amount bit for bit."""
+    assert got.sectors == expected.sectors
+    assert labels(got) == labels(expected)
+    assert got.years.dtype.kind == "i"
+    assert got.slots.tolist() == expected.slots.tolist()
+    for name in ("rounds", "amounts"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 STAGE_LABELS = ["seed", "Series A", "series-b", "Series C", "series f", "pre-seed", "bridge"]
@@ -313,13 +320,11 @@ def test_stage_partition_sums_to_unfiltered(tiny_dataset):
     parts = stage_partition(tiny_dataset, options=NO_EXCLUDE)
     summed = {}
     for stage_profiles in parts.values():
-        for p in stage_profiles:
-            key = (p.investor_id, p.year)
-            summed[key] = summed.get(key, 0) + p.vector.rounds_by_sector
-    assert set(summed) == {(p.investor_id, p.year) for p in unfiltered}
-    for p in unfiltered:
-        np.testing.assert_allclose(
-            summed[(p.investor_id, p.year)], p.vector.rounds_by_sector, atol=1e-9)
+        for key, counts in zip(labels(stage_profiles), stage_profiles.rounds):
+            summed[key] = summed.get(key, 0) + counts
+    assert set(summed) == set(labels(unfiltered))
+    for key, counts in zip(labels(unfiltered), unfiltered.rounds):
+        np.testing.assert_allclose(summed[key], counts, atol=1e-9)
 
 
 class TestGroupProfiles:
@@ -327,13 +332,14 @@ class TestGroupProfiles:
         profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
         accel = group_profiles(profiles, GroupSpec(investor_type="accelerator"),
                                tiny_dataset.investor_by_id)
-        assert {p.investor_id for p in accel} == {"i2"}
+        assert set(accel.investor_ids.tolist()) == {"i2"}
 
     def test_stage_selector_equals_filtered_build(self, tiny_dataset):
         parts = stage_partition(tiny_dataset, options=NO_EXCLUDE)
-        pool = build_profiles(tiny_dataset, options=NO_EXCLUDE) + parts[StageClass.SEED]
+        pool = ProfileTable.concat([build_profiles(tiny_dataset, options=NO_EXCLUDE),
+                                    parts[StageClass.SEED]])
         via_group = group_profiles(pool, GroupSpec(stage=StageClass.SEED))
-        assert via_group == parts[StageClass.SEED]
+        assert_same_profiles(via_group, parts[StageClass.SEED])
 
     def test_unknown_label_rejected(self, tiny_dataset):
         profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
@@ -344,15 +350,20 @@ class TestGroupProfiles:
             group_profiles(profiles, GroupSpec(investor_type="vc"))
 
     def test_sizes_match_row_scan(self, tiny_dataset):
-        profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
+        # stage rows in the pool never match a type selector
+        profiles = ProfileTable.concat([
+            build_profiles(tiny_dataset, options=NO_EXCLUDE),
+            *stage_partition(tiny_dataset, options=NO_EXCLUDE).values()])
         for type_label in ("vc", "accelerator"):
             got = group_profiles(profiles, GroupSpec(investor_type=type_label),
                                  tiny_dataset.investor_by_id)
             expected = [
-                p for p in profiles
-                if tiny_dataset.investor_by_id[p.investor_id].type_label == type_label
+                row for row, (iid, slot) in enumerate(zip(profiles.investor_ids.tolist(),
+                                                          profiles.slots.tolist()))
+                if slot == 0 and tiny_dataset.investor_by_id[iid].type_label == type_label
             ]
-            assert got == expected
+            assert 0 < len(expected) < len(profiles)
+            assert_same_profiles(got, profiles.take(expected))
 
     def test_spec_is_exclusive(self):
         with pytest.raises(AnalysisError):
@@ -364,12 +375,11 @@ class TestGroupProfiles:
 
 def test_share_matrix_rows_sum_to_one(tiny_dataset):
     profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
-    matrix, labels = share_matrix(profiles)
+    matrix = share_matrix(profiles)
+    assert matrix.shape == profiles.rounds.shape
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
-    assert labels == [(p.investor_id, p.year) for p in profiles]
     with pytest.raises(AnalysisError):
-        share_matrix([])
-    idle = replace(profiles[0], vector=replace(profiles[0].vector,
-                                               rounds_by_sector=np.zeros(len(TAGS4))))
+        share_matrix(profiles.take(slice(0, 0)))
+    idle = replace(profiles.take([0]), rounds=np.zeros((1, len(TAGS4))))
     with pytest.raises(AnalysisError, match="all-zero strategy vector"):
-        share_matrix(profiles + [idle])
+        share_matrix(ProfileTable.concat([profiles, idle]))

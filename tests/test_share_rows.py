@@ -1,11 +1,13 @@
-"""Stacked share rows against copies of the per-profile loops they replaced.
+"""Profile-table analyses against copies of the per-profile loops they replaced.
 
-Barycenters, heatmaps, spread and the tensor fill read the rows that
-``profiles.share_matrix`` stacks once per profile list. Each must give the
-same bits as the loop that normalized and projected one profile at a time.
+Barycenters, heatmaps, spread and the tensor fill read the stacked rows of
+a ``profiles.ProfileTable`` (shares from ``profiles.share_matrix``). Each
+must give the same bits as the loop that normalized and projected one
+profile at a time, here run over the table's rows.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -29,23 +31,40 @@ from sectorspace.pca import (
     fit_on_profiles,
     standardize,
 )
-from sectorspace.profiles import InvestorYearProfile, StrategyVector, profiles_by_year
+from sectorspace.profiles import STAGE_SLOTS, ProfileTable, profiles_by_year
 from sectorspace.tca import StrategyTensor, build_tensor
 
 SECTORS = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
 INVESTORS = ("i1", "i2", "i3", "i4", "i5")
-STAGES = (None, None, StageClass.SEED, StageClass.SERIES_A)
+SLOTS = tuple(STAGE_SLOTS[stage] for stage in (None, None, StageClass.SEED,
+                                               StageClass.SERIES_A))
 COUNTS = st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 1.0, 2.0, 7.0)),
                    st.floats(0.0, 50.0, allow_subnormal=False))
 
 
-# --- copies of the per-profile loops ---------------------------------------
+# --- copies of the per-profile loops, run over a table's rows ---------------
+
+Row = namedtuple("Row", "investor_id year slot sectors rounds_by_sector")
+
+
+def rows(table):
+    """One record per table row, in table order."""
+    return [Row(iid, year, slot, table.sectors, counts) for iid, year, slot, counts in zip(
+        table.investor_ids.tolist(), table.years.tolist(), table.slots.tolist(), table.rounds)]
+
+
+def old_by_year(profiles):
+    out = {}
+    for p in profiles:
+        out.setdefault(p.year, []).append(p)
+    return dict(sorted(out.items()))
+
 
 def old_normalized(profile):
-    total = profile.vector.rounds_by_sector.sum()
+    total = profile.rounds_by_sector.sum()
     if total <= 0:
         raise AnalysisError("cannot normalize an all-zero strategy vector")
-    return profile.vector.rounds_by_sector / total
+    return profile.rounds_by_sector / total
 
 
 def old_project(model, vector):
@@ -58,7 +77,7 @@ def old_barycenter(profiles):
     years = {p.year for p in profiles}
     if len(years) != 1:
         raise AnalysisError(f"profiles span multiple years: {sorted(years)}")
-    weights = np.array([p.vector.n_rounds for p in profiles])
+    weights = np.array([float(p.rounds_by_sector.sum()) for p in profiles])
     active = weights > 0
     if not active.any():
         raise AnalysisError("all profiles have zero activity")
@@ -92,7 +111,7 @@ def old_bin_edges(points, n_bins, lo_pct, hi_pct):
 
 
 def old_heatmap_grid(profiles, model, n_x, n_y, percentile_range):
-    by_year = profiles_by_year([p for p in profiles if p.stage_filter is None])
+    by_year = old_by_year([p for p in profiles if p.slot == 0])
     if not by_year:
         raise AnalysisError("no profiles to bin")
     everything = np.vstack([old_project(model, old_normalized(p))
@@ -106,9 +125,7 @@ def old_heatmap_grid(profiles, model, n_x, n_y, percentile_range):
 
 def old_spread_series(profiles):
     out = []
-    for year, year_profiles in profiles_by_year(
-        [p for p in profiles if p.stage_filter is None]
-    ).items():
+    for year, year_profiles in old_by_year([p for p in profiles if p.slot == 0]).items():
         if len(year_profiles) < 2:
             continue
         center = old_barycenter(year_profiles)
@@ -136,7 +153,7 @@ def old_build_tensor(profiles, years, sectors):
         if k is None:
             continue
         i = row[p.investor_id]
-        for tag, count in zip(p.vector.sectors, p.vector.rounds_by_sector):
+        for tag, count in zip(p.sectors, p.rounds_by_sector):
             j = col.get(tag)
             if j is not None:
                 values[i, j, k] += count
@@ -180,65 +197,69 @@ def assert_identical(got, expected):
 
 
 @st.composite
-def profile_lists(draw):
-    """Profiles over one sector order, some columns zero for every profile.
+def profile_tables(draw):
+    """A table over one sector order, some columns zero in every row.
 
-    A profile whose counts all come out zero is mostly given a count, but
-    sometimes kept idle, as barycenters skip such profiles.
+    A row whose counts all come out zero is mostly given a count, but
+    sometimes kept idle, as barycenters skip such rows.
     """
     sectors = SECTORS[:draw(st.integers(2, len(SECTORS)))]
     dead = draw(st.sets(st.integers(0, len(sectors) - 1), max_size=len(sectors) - 1))
     live = [j for j in range(len(sectors)) if j not in dead]
-    profiles = []
-    for _ in range(draw(st.integers(1, 14))):
-        counts = np.array([0.0 if j in dead else draw(COUNTS) for j in range(len(sectors))])
-        if not counts.sum() > 0 and draw(st.sampled_from((True, True, True, False))):
-            counts[draw(st.sampled_from(live))] = 1 / 3
-        profiles.append(InvestorYearProfile(
-            investor_id=draw(st.sampled_from(INVESTORS)),
-            year=draw(st.integers(2010, 2013)),
-            stage_filter=draw(st.sampled_from(STAGES)),
-            vector=StrategyVector(sectors, counts, counts * 1e6),
-        ))
-    return sectors, profiles
+    n = draw(st.integers(1, 14))
+    counts = np.zeros((n, len(sectors)))
+    for row in counts:
+        row[:] = [0.0 if j in dead else draw(COUNTS) for j in range(len(sectors))]
+        if not row.sum() > 0 and draw(st.sampled_from((True, True, True, False))):
+            row[draw(st.sampled_from(live))] = 1 / 3
+    return sectors, ProfileTable(
+        sectors=sectors,
+        investor_ids=np.array(draw(st.lists(st.sampled_from(INVESTORS), min_size=n,
+                                            max_size=n)), dtype=str),
+        years=np.array(draw(st.lists(st.integers(2010, 2013), min_size=n, max_size=n))),
+        slots=np.array(draw(st.lists(st.sampled_from(SLOTS), min_size=n, max_size=n))),
+        rounds=counts,
+        amounts=counts * 1e6,
+    )
 
 
 # --- tests -------------------------------------------------------------------
 
 @settings(deadline=None, max_examples=150)
-@given(profile_lists())
+@given(profile_tables())
 def test_barycenters_and_spread_match_per_profile_loops(drawn):
     _, profiles = drawn
     for year_profiles in profiles_by_year(profiles).values():
         assert_identical(outcome(barycenter, year_profiles),
-                         outcome(old_barycenter, year_profiles))
-    assert_identical(outcome(spread_series, profiles), outcome(old_spread_series, profiles))
+                         outcome(old_barycenter, rows(year_profiles)))
+    assert_identical(outcome(spread_series, profiles),
+                     outcome(old_spread_series, rows(profiles)))
 
 
 @settings(deadline=None, max_examples=200)
-@given(profile_lists(), st.integers(1, 8), st.integers(1, 8),
+@given(profile_tables(), st.integers(1, 8), st.integers(1, 8),
        st.sampled_from(((1.0, 99.0), (0.0, 100.0), (10.0, 90.0))))
 def test_heatmaps_match_per_profile_projections(drawn, n_x, n_y, percentile_range):
     _, profiles = drawn
-    active = [p for p in profiles if p.vector.n_rounds > 0]
+    active = profiles.take(profiles.rounds.sum(axis=1) > 0)
     model = outcome(fit_on_profiles, active, 2)
     if isinstance(model, tuple):  # fewer than 2 profiles to fit on
         assert len(active) < 2
         return
     grid = outcome(heatmap_grid, profiles, model, n_x, n_y, percentile_range)
-    assert_identical(grid, outcome(old_heatmap_grid, profiles, model, n_x, n_y,
+    assert_identical(grid, outcome(old_heatmap_grid, rows(profiles), model, n_x, n_y,
                                    percentile_range))
     if isinstance(grid, HeatmapGrid):
         for year_profiles in profiles_by_year(profiles).values():
             edges = (grid.x_edges, grid.y_edges)
             assert_identical(outcome(heatmap_slice, year_profiles, model, *edges),
-                             outcome(old_heatmap_slice, year_profiles, model, *edges))
+                             outcome(old_heatmap_slice, rows(year_profiles), model, *edges))
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_tensor_fill_matches_cell_by_cell_loop(data):
-    sectors, profiles = data.draw(profile_lists())
+    sectors, profiles = data.draw(profile_tables())
     kind = data.draw(st.sampled_from(("same", "superset", "subset")))
     if kind == "superset":
         extra = list(sectors) + ["Zeta", "Eta"][:data.draw(st.integers(1, 2))]
@@ -251,14 +272,19 @@ def test_tensor_fill_matches_cell_by_cell_loop(data):
     # the years window may leave some profiles outside
     years = data.draw(st.sets(st.integers(2009, 2014), min_size=2, max_size=5))
     assert_identical(outcome(build_tensor, profiles, years, tensor_sectors),
-                     outcome(old_build_tensor, profiles, years, tensor_sectors))
+                     outcome(old_build_tensor, rows(profiles), years, tensor_sectors))
 
 
 def test_tensor_rejects_differing_sector_orders():
-    counts = np.array([1.0, 2.0])
-    profiles = [
-        InvestorYearProfile("i1", 2010, None, StrategyVector(("Alpha", "Beta"), counts, counts)),
-        InvestorYearProfile("i2", 2011, None, StrategyVector(("Beta", "Alpha"), counts, counts)),
-    ]
+    """Tables over different sector orders cannot be joined into one tensor input."""
+    def table(iid, year, sectors):
+        counts = np.array([[1.0, 2.0]])
+        return ProfileTable(sectors, np.array([iid]), np.array([year]), np.array([0]),
+                            counts, counts)
+
+    first = table("i1", 2010, ("Alpha", "Beta"))
+    second = table("i2", 2011, ("Beta", "Alpha"))
     with pytest.raises(AnalysisError, match="differing sector orders"):
-        build_tensor(profiles, (2010, 2011), ("Alpha", "Beta"))
+        ProfileTable.concat([first, second])
+    joined = ProfileTable.concat([first, table("i2", 2011, ("Alpha", "Beta"))])
+    assert build_tensor(joined, (2010, 2011), ("Alpha", "Beta")).investor_ids == ("i1", "i2")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sectorspace.errors import AnalysisError
+from sectorspace.profiles import ProfileTable
 from sectorspace.synth import generate_cp_tensor
 from sectorspace.tca import (
     CPModel,
@@ -46,12 +47,12 @@ def random_model(seed, n=50, s=10, k=8, rank=2):
 
 class TestBuildTensor:
     def test_2x2x2_index_bookkeeping(self):
-        profiles = (
+        profiles = ProfileTable.concat([
             make_profiles(np.array([[2.0, 0.0], [0.0, 1.0]]), year=2010,
+                          sectors=("A", "B"), investor_ids=["i1", "i2"]),
+            make_profiles(np.array([[0.0, 3.0], [1.0, 0.0]]), year=2011,
                           sectors=("A", "B"), investor_ids=["i1", "i2"])
-            + make_profiles(np.array([[0.0, 3.0], [1.0, 0.0]]), year=2011,
-                            sectors=("A", "B"), investor_ids=["i1", "i2"])
-        )
+        ])
         tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
         assert tensor.shape == (2, 2, 2)
         assert tensor.investor_ids == ("i1", "i2")
@@ -62,27 +63,28 @@ class TestBuildTensor:
         np.testing.assert_allclose(tensor.values[:, :, 1], -expected_2010, atol=1e-12)
 
     def test_constant_fiber_zeroed_and_flagged(self):
-        profiles = (
+        profiles = ProfileTable.concat([
             make_profiles(np.array([[1.0, 1.0], [1.0, 2.0]]), year=2010,
+                          sectors=("A", "B"), investor_ids=["i1", "i2"]),
+            make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
                           sectors=("A", "B"), investor_ids=["i1", "i2"])
-            + make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
-                            sectors=("A", "B"), investor_ids=["i1", "i2"])
-        )
+        ])
         tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
         np.testing.assert_array_equal(tensor.values[:, 0, 0], 0.0)
         assert 0 in tensor.standardization[0].constant_columns
 
     def test_slice_standardization_against_two_pass_oracle(self):
         rng = np.random.default_rng(40)
-        profiles = []
+        tables = []
         for year in (2008, 2009, 2010):
             counts = rng.integers(0, 5, size=(15, 4)).astype(float)
             counts[counts.sum(axis=1) == 0, 0] = 1
             shares = counts / counts.sum(axis=1, keepdims=True)
-            profiles.extend(make_profiles(shares, year=year,
-                                          weights=counts.sum(axis=1),
-                                          investor_ids=[f"i{j:02d}" for j in range(15)]))
-        tensor = build_tensor(profiles, range(2008, 2011), tuple(f"S{j:02d}" for j in range(4)))
+            tables.append(make_profiles(shares, year=year,
+                                        weights=counts.sum(axis=1),
+                                        investor_ids=[f"i{j:02d}" for j in range(15)]))
+        tensor = build_tensor(ProfileTable.concat(tables), range(2008, 2011),
+                              tuple(f"S{j:02d}" for j in range(4)))
         for k in range(3):
             slab = tensor.values[:, :, k]
             np.testing.assert_allclose(slab.mean(axis=0), 0.0, atol=1e-9)
@@ -92,12 +94,12 @@ class TestBuildTensor:
                     assert std == pytest.approx(1.0, abs=1e-9)
 
     def test_inactive_investor_year_contributes_zero_row(self):
-        profiles = (
+        profiles = ProfileTable.concat([
             make_profiles(np.array([[1.0, 0.0]]), year=2010,
-                          sectors=("A", "B"), investor_ids=["lone"])
-            + make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
-                            sectors=("A", "B"), investor_ids=["i1", "i2"])
-        )
+                          sectors=("A", "B"), investor_ids=["lone"]),
+            make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
+                          sectors=("A", "B"), investor_ids=["i1", "i2"])
+        ])
         tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
         assert tensor.shape == (3, 2, 2)
         assert set(tensor.investor_ids) == {"lone", "i1", "i2"}
