@@ -16,8 +16,6 @@ from .errors import (
 )
 from .ingest import (
     RawInvestor,
-    RawRound,
-    RawStartup,
     StageClass,
     StartupStatus,
     ValidatedDataset,

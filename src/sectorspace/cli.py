@@ -165,8 +165,16 @@ def _load_and_filter(config: PipelineConfig, validate: bool
 
 
 def _load(config: PipelineConfig, stages=()) -> ValidatedDataset:
-    """The filtered dataset, checked against the flags of the ``stages`` to run."""
+    """The filtered dataset, checked against the flags of the ``stages`` to run.
+
+    Every stage but ``profiles`` needs a kept round inside ``--years``.
+    """
     dataset = _load_and_filter(config, validate=False)[1]
+    if set(stages) - {"profiles"} and not any(
+            day.year in config.years for day in dataset.rounds.announced.values):
+        raise SectorSpaceError(
+            f"no round of a startup kept by --country {config.country} falls inside "
+            f"--years {config.years[0]}:{config.years[-1]}")
     n_sectors = len(_options(config).effective_sectors(dataset.ontology))
     if "pca" in stages and config.pca_dim > n_sectors:
         raise SectorSpaceError(f"--pca-dim {config.pca_dim} exceeds the {n_sectors} kept sectors")

@@ -14,11 +14,10 @@ converted once: statuses, dates, tag sets and stage labels become
 :class:`Categorical` columns (codes into the distinct values), amounts a
 float array (NaN = unknown), the startup of each round a row index into
 the startup table, and the investors of each round CSR offsets plus codes
-into the sorted ids that occur in the rounds. :class:`StartupTable` and
-:class:`RoundTable` are read-only sequences of :class:`RawStartup` and
-:class:`RawRound` records, built only when a row is indexed or iterated;
-filtering and accumulation read the columns. The investor table stays a
-tuple of records.
+into the sorted ids that occur in the rounds. No row object is built:
+filtering, accumulation and :func:`dump_dataset` read the columns of
+:class:`StartupTable` and :class:`RoundTable`. The investor table stays a
+tuple of :class:`RawInvestor` records.
 
 The loaded dataset is immutable by convention and safe to share across
 concurrent readers.
@@ -30,7 +29,6 @@ import datetime as dt
 import enum
 import math
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
@@ -44,8 +42,6 @@ from .ontology import SectorOntology, default_ontology, dump_ontology, load_onto
 __all__ = [
     "StartupStatus",
     "StageClass",
-    "RawStartup",
-    "RawRound",
     "RawInvestor",
     "Categorical",
     "StartupTable",
@@ -86,26 +82,6 @@ class StageClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RawStartup:
-    startup_id: str
-    name: str
-    country_code: str
-    status: StartupStatus
-    founded_date: dt.date
-    tags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RawRound:
-    round_id: str
-    startup_id: str
-    announced_date: dt.date
-    stage_label: str
-    amount_usd: float | None
-    investor_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RawInvestor:
     investor_id: str
     name: str
@@ -140,6 +116,11 @@ class Categorical:
     def __getitem__(self, row: int):
         return self.values[self.codes[row]]
 
+    def cells(self, format_value=str) -> list[str]:
+        """One formatted cell per row; each distinct value is formatted once."""
+        formatted = [format_value(value) for value in self.values]
+        return list(map(formatted.__getitem__, self.codes.tolist()))
+
     def rows_where(self, predicate) -> np.ndarray:
         """Mask of the rows whose value satisfies ``predicate`` (called once per value)."""
         return np.array([bool(predicate(v)) for v in self.values], dtype=bool)[self.codes]
@@ -157,31 +138,8 @@ def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-class _Table(Sequence):
-    """Read-only sequence of records built from columns on access."""
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, index):
-        rows = range(len(self))
-        if isinstance(index, slice):
-            return tuple(map(self._record, rows[index]))
-        return self._record(rows[index])
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
-
-
 @dataclass(frozen=True, eq=False)
-class StartupTable(_Table):
+class StartupTable:
     """The startups as columns, one entry per row."""
 
     ids: tuple[str, ...]
@@ -191,21 +149,8 @@ class StartupTable(_Table):
     founded: Categorical
     tags: Categorical
 
-    @classmethod
-    def from_records(cls, records) -> "StartupTable":
-        records = tuple(records)
-        return cls(
-            ids=tuple(s.startup_id for s in records),
-            names=tuple(s.name for s in records),
-            country=Categorical.encode([s.country_code for s in records]),
-            status=Categorical.encode([s.status for s in records]),
-            founded=Categorical.encode([s.founded_date for s in records]),
-            tags=Categorical.encode([s.tags for s in records]),
-        )
-
-    def _record(self, row: int) -> RawStartup:
-        return RawStartup(self.ids[row], self.names[row], self.country[row],
-                          self.status[row], self.founded[row], self.tags[row])
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def take(self, rows: np.ndarray) -> "StartupTable":
         picked = rows.tolist()
@@ -220,7 +165,7 @@ class StartupTable(_Table):
 
 
 @dataclass(frozen=True, eq=False)
-class RoundTable(_Table):
+class RoundTable:
     """The rounds as columns, one entry per row.
 
     ``startup`` holds each round's row in the startup table whose ids are
@@ -255,37 +200,13 @@ class RoundTable(_Table):
         return cls(tuple(ids), np.asarray(startup, dtype=np.intp), startup_ids, announced,
                    stage, np.asarray(amount, dtype=float), offsets, codes, vocab)
 
-    @classmethod
-    def from_records(cls, records, startup_ids: tuple[str, ...]) -> "RoundTable":
-        records = tuple(records)
-        row_of = {sid: row for row, sid in enumerate(startup_ids)}
-        dangling = [f"round {r.round_id!r} -> startup {r.startup_id!r}"
-                    for r in records if r.startup_id not in row_of]
-        if dangling:
-            raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
-        return cls.from_columns(
-            [r.round_id for r in records],
-            [row_of[r.startup_id] for r in records],
-            startup_ids,
-            Categorical.encode([r.announced_date for r in records]),
-            Categorical.encode([r.stage_label for r in records]),
-            [math.nan if r.amount_usd is None else r.amount_usd for r in records],
-            Categorical.encode([tuple(r.investor_ids) for r in records]),
-        )
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @cached_property
     def year(self) -> np.ndarray:
         return np.array([d.year for d in self.announced.values], dtype=np.intp)[
             self.announced.codes]
-
-    def _record(self, row: int) -> RawRound:
-        amount = float(self.amount[row])
-        lo, hi = self.investor_offsets[row], self.investor_offsets[row + 1]
-        return RawRound(
-            self.ids[row], self.startup_ids[self.startup[row]], self.announced[row],
-            self.stage[row], None if math.isnan(amount) else amount,
-            tuple(map(self.investor_vocab.__getitem__, self.investor_codes[lo:hi].tolist())),
-        )
 
     def take(self, rows: np.ndarray, startup_ids: tuple[str, ...],
              startup_row: np.ndarray) -> "RoundTable":
@@ -312,26 +233,12 @@ class RoundTable(_Table):
 
 @dataclass
 class ValidatedDataset:
-    """All four tables, parsed and referentially consistent.
-
-    ``startups`` and ``rounds`` may be given as records; they are stored as
-    a :class:`StartupTable` and a :class:`RoundTable`.
-    """
+    """All four tables, parsed and referentially consistent."""
 
     startups: StartupTable
     rounds: RoundTable
     investors: tuple[RawInvestor, ...]
     ontology: SectorOntology
-
-    def __post_init__(self):
-        if not isinstance(self.startups, StartupTable):
-            self.startups = StartupTable.from_records(self.startups)
-        if not isinstance(self.rounds, RoundTable):
-            self.rounds = RoundTable.from_records(self.rounds, self.startups.ids)
-
-    @cached_property
-    def startup_by_id(self) -> dict[str, RawStartup]:
-        return {s.startup_id: s for s in self.startups}
 
     @cached_property
     def investor_by_id(self) -> dict[str, RawInvestor]:
@@ -577,36 +484,34 @@ def dump_dataset(dataset: ValidatedDataset, out_dir) -> dict[str, Path]:
     """Write the dataset back out in the loadable CSV/JSON formats.
 
     Inverse of :func:`load_dataset` up to whitespace normalization: a
-    load -> dump -> load cycle reproduces the tables exactly.
+    load -> dump -> load cycle reproduces the tables exactly. The tables
+    are written from their columns, each distinct categorical value
+    formatted once, through :func:`reports.write_rows`.
     """
+    from .reports import write_rows  # not at module level: reports imports this module
+
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "startups": out_dir / "startups.csv",
         "rounds": out_dir / "rounds.csv",
         "investors": out_dir / "investors.csv",
         "ontology": out_dir / "ontology.json",
     }
-    with paths["startups"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(STARTUP_COLUMNS)
-        for s in dataset.startups:
-            writer.writerow([s.startup_id, s.name, s.country_code, s.status.value,
-                             s.founded_date.isoformat(), "|".join(s.tags)])
-    with paths["rounds"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ROUND_COLUMNS)
-        for r in dataset.rounds:
-            writer.writerow([
-                r.round_id, r.startup_id, r.announced_date.isoformat(), r.stage_label,
-                "" if r.amount_usd is None else repr(r.amount_usd),
-                "|".join(r.investor_ids),
-            ])
-    with paths["investors"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(INVESTOR_COLUMNS)
-        for inv in dataset.investors:
-            writer.writerow([inv.investor_id, inv.name, inv.type_label])
+    startups, rounds = dataset.startups, dataset.rounds
+    write_rows(paths["startups"], STARTUP_COLUMNS, zip(
+        startups.ids, startups.names, startups.country.cells(),
+        startups.status.cells(lambda status: status.value),
+        startups.founded.cells(dt.date.isoformat), startups.tags.cells("|".join)))
+    offsets = rounds.investor_offsets.tolist()
+    codes = rounds.investor_codes.tolist()
+    write_rows(paths["rounds"], ROUND_COLUMNS, zip(
+        rounds.ids, map(rounds.startup_ids.__getitem__, rounds.startup.tolist()),
+        rounds.announced.cells(dt.date.isoformat), rounds.stage.cells(),
+        ["" if math.isnan(amount) else repr(amount) for amount in rounds.amount.tolist()],
+        ["|".join(map(rounds.investor_vocab.__getitem__, codes[lo:hi]))
+         for lo, hi in zip(offsets, offsets[1:])]))
+    write_rows(paths["investors"], INVESTOR_COLUMNS,
+               [[inv.investor_id, inv.name, inv.type_label] for inv in dataset.investors])
     dump_ontology(dataset.ontology, paths["ontology"])
     return paths
 

@@ -21,12 +21,13 @@ become shares.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import AnalysisError
-from .ingest import RawRound, StageClass, ValidatedDataset, classify_stage, segment_rows
+from .ingest import StageClass, ValidatedDataset, classify_stage, segment_rows
 from .ontology import SectorOntology
 
 logger = logging.getLogger(__name__)
@@ -85,21 +86,23 @@ class GroupSpec:
         return "all"
 
 
-def split_round(rnd: RawRound, parents, participation: float = 1.0
+def split_round(round_id: str, amount: float, parents, participation: float = 1.0
                 ) -> list[tuple[str, float, float]]:
     """Equal split of one investor's participation in a round.
 
     Each of the k parent tags receives ``participation / k`` round weight
-    and ``participation * amount / k`` amount weight. An empty parent set
-    routes the round to the unclassified sink: the caller gets ``[]`` and
-    a log record.
+    and ``participation * amount / k`` amount weight; an unknown (NaN)
+    amount books none. An empty parent set routes the round to the
+    unclassified sink: the caller gets ``[]`` and a log record naming
+    ``round_id``.
     """
     parents = sorted(parents)
     if not parents:
-        logger.warning("round %s has no classified sectors; excluded", rnd.round_id)
+        logger.warning("round %s has no classified sectors; excluded", round_id)
         return []
     k = len(parents)
-    amount = rnd.amount_usd or 0.0
+    if math.isnan(amount):
+        amount = 0.0
     return [(tag, participation / k, participation * amount / k) for tag in parents]
 
 

@@ -1,18 +1,19 @@
 """CSV artifacts and run manifests.
 
-All writers are deterministic: floats are rendered with ``repr`` (shortest
-round-tripping form), rows keep a fixed order, line endings are ``\\n``,
-and files land atomically via a same-directory temp file. Rerunning a
-pipeline with identical inputs therefore reproduces every byte.
+All writers are deterministic: every cell reaches :mod:`csv` as a
+``str``, ``int`` or ``float`` (arrays go through ``.tolist()``), so floats
+are rendered with ``repr`` (shortest round-tripping form); rows keep a
+fixed order, line endings are ``\\n``, and files land atomically via a
+same-directory temp file created with the umask applied, as ``open()``
+would. Rerunning a pipeline with identical inputs therefore reproduces
+every byte.
 """
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,30 +31,17 @@ except Exception:  # pragma: no cover - not installed
     VERSION = "0.0.0"
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    if value is None:
-        return ""
-    raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
-
-
 def _write_atomically(path, write) -> Path:
     """Run ``write(handle)`` on a same-directory temp file, then move it onto ``path``.
 
-    On any failure the temp file is removed and ``path`` is left as it was.
+    The temp file is created like ``open(path, "w")`` would create it, so
+    the umask sets its mode. On any failure the temp file is removed and
+    ``path`` is left as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             write(handle)
@@ -66,14 +54,23 @@ def _write_atomically(path, write) -> Path:
 
 
 def write_rows(path, header: list[str], rows) -> Path:
-    """Write one CSV atomically; rows may mix str, int, float, date, None."""
-    def write(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+    """Write one CSV atomically.
+
+    Cells must be ``str``, ``int`` or ``float`` values, as ``.tolist()``
+    gives them: :mod:`csv` writes a float with ``repr`` but anything else
+    with ``str``, so a bool would come out as ``True`` and a ``float32``
+    as ``0.1`` rather than the ``repr`` of its float64 value.
+    """
+    def checked():
         for row in rows:
             if len(row) != len(header):
                 raise ValueError(f"row width {len(row)} does not match header {header}")
-            writer.writerow([_cell(v) for v in row])
+            yield row
+
+    def write(handle):
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(checked())
 
     return _write_atomically(path, write)
 
@@ -81,10 +78,7 @@ def write_rows(path, header: list[str], rows) -> Path:
 def write_pca_loadings(path, model: PCAModel, sectors) -> Path:
     axes = model.axes
     header = ["tag"] + [f"axis{d + 1}" for d in range(axes.shape[0])]
-    rows = [
-        [tag, *(axes[d, p] for d in range(axes.shape[0]))]
-        for p, tag in enumerate(sectors)
-    ]
+    rows = [[tag, *column] for tag, column in zip(sectors, axes.T.tolist())]
     return write_rows(path, header, rows)
 
 
@@ -95,8 +89,8 @@ def write_trajectory(path, trajectories: dict[str, list[TrajectoryPoint]]) -> Pa
         for point in points:
             if point.coords.shape[0] < 2:
                 raise ValueError("trajectory export needs at least 2 components")
-            rows.append([point.year, stage_label, point.coords[0], point.coords[1],
-                         point.sigma[0], point.sigma[1]])
+            rows.append([point.year, stage_label, *point.coords[:2].tolist(),
+                         *point.sigma[:2].tolist()])
     return write_rows(path, ["year", "stage", "x", "y", "sx", "sy"], rows)
 
 
@@ -116,22 +110,21 @@ def _mode_labels(model: CPModel, mode: str):
 
 
 def write_tca_factors(path, model: CPModel) -> Path:
-    rows = []
-    for mode, factor in zip(("investor", "sector", "temporal"), model.factors):
-        labels = _mode_labels(model, mode)
-        for r in range(model.rank):
-            for idx, label in enumerate(labels):
-                rows.append([mode, r + 1, label, factor[idx, r]])
+    rows = [
+        [mode, r + 1, label, value]
+        for mode, factor in zip(("investor", "sector", "temporal"), model.factors)
+        for r in range(model.rank)
+        for label, value in zip(_mode_labels(model, mode), factor[:, r].tolist())
+    ]
     return write_rows(path, ["mode", "component", "index_label", "value"], rows)
 
 
 def write_tca_diagnostics(path, diagnostics: FitDiagnostics) -> Path:
-    rows = []
-    for rank in diagnostics.ranks:
-        errors = diagnostics.restart_errors[rank]
-        similarity = diagnostics.similarity[rank]
-        for restart, error in enumerate(errors):
-            rows.append([rank, restart, error, similarity])
+    rows = [
+        [rank, restart, error, diagnostics.similarity[rank]]
+        for rank in diagnostics.ranks
+        for restart, error in enumerate(diagnostics.restart_errors[rank].tolist())
+    ]
     return write_rows(path, ["R", "restart", "error", "similarity"], rows)
 
 
@@ -164,11 +157,8 @@ def write_heatmaps(out_dir, grid: HeatmapGrid) -> list[Path]:
     written = []
     for year in sorted(grid.counts):
         counts = grid.counts[year]
-        rows = [
-            [ix, iy, int(counts[ix, iy])]
-            for iy in range(counts.shape[1])
-            for ix in range(counts.shape[0])
-        ]
+        ix, iy = (axis.ravel("F").tolist() for axis in np.indices(counts.shape))
+        rows = zip(ix, iy, counts.ravel("F").astype(np.int64).tolist())
         written.append(
             write_rows(out_dir / f"heatmap_{year}.csv", ["xbin", "ybin", "count"], rows)
         )

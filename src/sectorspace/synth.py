@@ -8,7 +8,6 @@ passes ingest validation with zero warnings.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 from dataclasses import dataclass, field
@@ -17,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .ingest import StageClass
+from .ingest import INVESTOR_COLUMNS, ROUND_COLUMNS, STARTUP_COLUMNS, StageClass
 from .ontology import SectorOntology, dump_ontology
+from .reports import write_rows
 from .tca import CPModel, canonicalize
 
 STAGE_LABELS = {
@@ -273,13 +273,6 @@ class EcosystemFiles:
     truth: Path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def generate_ecosystem(config: ScenarioConfig, out_dir
                        ) -> tuple[EcosystemFiles, PlantedTruth]:
     """Realize a scenario as loadable CSV tables plus its truth record.
@@ -375,11 +368,9 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
         ontology=out_dir / "ontology.json",
         truth=out_dir / "truth.json",
     )
-    _write_csv(files.startups, ["startup_id", "name", "country_code", "status",
-                                "founded_date", "tags"], startup_rows)
-    _write_csv(files.rounds, ["round_id", "startup_id", "announced_date", "stage_label",
-                              "amount_usd", "investor_ids"], round_rows)
-    _write_csv(files.investors, ["investor_id", "name", "type_label"], investor_rows)
+    write_rows(files.startups, STARTUP_COLUMNS, startup_rows)
+    write_rows(files.rounds, ROUND_COLUMNS, round_rows)
+    write_rows(files.investors, INVESTOR_COLUMNS, investor_rows)
     dump_ontology(ontology, files.ontology)
 
     special = next(

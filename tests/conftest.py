@@ -1,22 +1,53 @@
-"""Shared fixtures: a 4-sector ontology and in-memory dataset builders."""
+"""Shared fixtures: a 4-sector ontology, test-side table rows and dataset builders.
+
+Datasets are built the way the package builds them: the rows are written
+as CSV files and read back with :func:`load_dataset`. :func:`rows` reads
+a loaded table back into the same row records, for oracles that walk the
+tables one row at a time.
+"""
 from __future__ import annotations
 
 import datetime as dt
+import math
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from sectorspace.ingest import (
+    INVESTOR_COLUMNS,
+    ROUND_COLUMNS,
+    STARTUP_COLUMNS,
     RawInvestor,
-    RawRound,
-    RawStartup,
     StartupStatus,
-    ValidatedDataset,
+    StartupTable,
+    load_dataset,
 )
-from sectorspace.ontology import SectorOntology
+from sectorspace.ontology import SectorOntology, dump_ontology
 from sectorspace.profiles import STAGE_SLOTS, ProfileTable
+from sectorspace.reports import write_rows
 
 TAGS4 = ("Alpha", "Beta", "Gamma", "Delta")
+
+
+class StartupRow(NamedTuple):
+    startup_id: str
+    name: str
+    country_code: str
+    status: StartupStatus
+    founded_date: dt.date
+    tags: tuple[str, ...]
+
+
+class RoundRow(NamedTuple):
+    round_id: str
+    startup_id: str
+    announced_date: dt.date
+    stage_label: str
+    amount_usd: float | None  # None = unknown
+    investor_ids: tuple[str, ...]
 
 
 def make_ontology(parent_tags=TAGS4, child_map=None, version="test"):
@@ -29,26 +60,13 @@ def make_ontology(parent_tags=TAGS4, child_map=None, version="test"):
 
 def make_startup(sid, tags, country="USA", status=StartupStatus.ACTIVE,
                  founded=dt.date(2005, 6, 1), name=None):
-    return RawStartup(
-        startup_id=sid,
-        name=name if name is not None else sid,
-        country_code=country,
-        status=status,
-        founded_date=founded,
-        tags=tuple(tags),
-    )
+    return StartupRow(sid, name if name is not None else sid, country, status, founded,
+                      tuple(tags))
 
 
 def make_round(rid, sid, year, investors, stage="seed", amount=1e6,
                month=3, day=15):
-    return RawRound(
-        round_id=rid,
-        startup_id=sid,
-        announced_date=dt.date(year, month, day),
-        stage_label=stage,
-        amount_usd=amount,
-        investor_ids=tuple(investors),
-    )
+    return RoundRow(rid, sid, dt.date(year, month, day), stage, amount, tuple(investors))
 
 
 def make_investor(iid, type_label="vc", name=None):
@@ -60,12 +78,38 @@ def make_investor(iid, type_label="vc", name=None):
 
 
 def make_dataset(startups, rounds, investors, ontology=None):
-    return ValidatedDataset(
-        startups=tuple(startups),
-        rounds=tuple(rounds),
-        investors=tuple(investors),
-        ontology=ontology or make_ontology(),
-    )
+    """Write the rows as the three CSV tables plus the ontology and load them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_rows(tmp / "startups.csv", STARTUP_COLUMNS, [
+            [s.startup_id, s.name, s.country_code, s.status.value,
+             s.founded_date.isoformat(), "|".join(s.tags)] for s in startups])
+        write_rows(tmp / "rounds.csv", ROUND_COLUMNS, [
+            [r.round_id, r.startup_id, r.announced_date.isoformat(), r.stage_label,
+             "" if r.amount_usd is None else repr(float(r.amount_usd)),
+             "|".join(r.investor_ids)] for r in rounds])
+        write_rows(tmp / "investors.csv", INVESTOR_COLUMNS,
+                   [[i.investor_id, i.name, i.type_label] for i in investors])
+        dump_ontology(ontology or make_ontology(), tmp / "ontology.json")
+        return load_dataset(tmp / "startups.csv", tmp / "rounds.csv",
+                            tmp / "investors.csv", tmp / "ontology.json")
+
+
+def rows(table):
+    """The rows of a loaded startup or round table as row records, in table order."""
+    n = len(table)
+    if isinstance(table, StartupTable):
+        return [StartupRow(table.ids[i], table.names[i], table.country[i], table.status[i],
+                           table.founded[i], table.tags[i]) for i in range(n)]
+    offsets = table.investor_offsets.tolist()
+    amounts = table.amount.tolist()
+    return [
+        RoundRow(table.ids[i], table.startup_ids[table.startup[i]], table.announced[i],
+                 table.stage[i], None if math.isnan(amounts[i]) else amounts[i],
+                 tuple(table.investor_vocab[code]
+                       for code in table.investor_codes[offsets[i]:offsets[i + 1]].tolist()))
+        for i in range(n)
+    ]
 
 
 def make_profiles(matrix, year=2010, weights=None, sectors=None, stage=None,
@@ -103,8 +147,7 @@ def small_ontology():
     )
 
 
-@pytest.fixture
-def tiny_dataset(small_ontology):
+def tiny_tables():
     """Two investors, three rounds over 2010-2012, two sectors in play."""
     startups = [
         make_startup("s1", ["Alpha"]),
@@ -117,4 +160,9 @@ def tiny_dataset(small_ontology):
         make_round("r3", "s3", 2012, ["i2"], stage="series b", amount=3e5),
     ]
     investors = [make_investor("i1", "vc"), make_investor("i2", "accelerator")]
-    return make_dataset(startups, rounds, investors, small_ontology)
+    return startups, rounds, investors
+
+
+@pytest.fixture
+def tiny_dataset(small_ontology):
+    return make_dataset(*tiny_tables(), small_ontology)

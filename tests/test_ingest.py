@@ -19,8 +19,6 @@ from sectorspace.ingest import (
     ROUND_COLUMNS,
     STARTUP_COLUMNS,
     RawInvestor,
-    RawRound,
-    RawStartup,
     StageClass,
     StartupStatus,
     classify_stage,
@@ -31,7 +29,15 @@ from sectorspace.ingest import (
 )
 from sectorspace.ontology import dump_ontology
 
-from conftest import make_dataset, make_investor, make_round, make_startup
+from conftest import (
+    RoundRow,
+    StartupRow,
+    make_dataset,
+    make_investor,
+    make_round,
+    make_startup,
+    rows,
+)
 
 STARTUPS_HEADER = "startup_id,name,country_code,status,founded_date,tags\n"
 ROUNDS_HEADER = "round_id,startup_id,announced_date,stage_label,amount_usd,investor_ids\n"
@@ -96,8 +102,8 @@ class TestLoadDataset:
         assert dataset.counts == {
             "startups": 3, "rounds": 3, "investors": 2, "sectors": 28,
         }
-        assert dataset.rounds[2].amount_usd is None
-        assert dataset.rounds[1].investor_ids == ("i1", "i2")
+        assert rows(dataset.rounds)[2].amount_usd is None
+        assert rows(dataset.rounds)[1].investor_ids == ("i1", "i2")
 
     def test_dangling_startup_key(self, tmp_path):
         rounds = GOOD_ROUNDS + "r4,ghost,2013-01-01,seed,1,i1\n"
@@ -180,7 +186,7 @@ class TestLoadDataset:
     def test_blank_lines_skipped_and_not_numbered(self, tmp_path):
         rounds = "\n" + GOOD_ROUNDS.replace("\n", "\n\n", 1)
         paths = write_tables(tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3]
-        assert [r.round_id for r in load_dataset(*paths).rounds] == ["r1", "r2", "r3"]
+        assert load_dataset(*paths).rounds.ids == ("r1", "r2", "r3")
         short = rounds + "\nr4,s1,2013-01-01\n"
         paths = write_tables(tmp_path, GOOD_STARTUPS, short, GOOD_INVESTORS)[:3]
         with pytest.raises(SchemaError, match=r"rounds\.csv:5: short row"):
@@ -215,8 +221,8 @@ class TestRoundTrip:
         paths = dump_dataset(first, tmp_path / "echo")
         second = load_dataset(paths["startups"], paths["rounds"],
                               paths["investors"], paths["ontology"])
-        assert second.startups == first.startups
-        assert second.rounds == first.rounds
+        assert rows(second.startups) == rows(first.startups)
+        assert rows(second.rounds) == rows(first.rounds)
         assert second.investors == first.investors
 
         again = dump_dataset(second, tmp_path / "echo2")
@@ -235,7 +241,7 @@ class TestFilterStartups:
             inv,
         )
         kept = filter_startups(boundary)
-        assert [s.startup_id for s in kept.startups] == ["s3"]
+        assert kept.startups.ids == ("s3",)
 
     def test_predicates(self):
         inv = [make_investor("i1")]
@@ -252,8 +258,8 @@ class TestFilterStartups:
             inv,
         )
         kept = filter_startups(dataset)
-        assert {s.startup_id for s in kept.startups} == {"ok", "exited"}
-        assert {r.round_id for r in kept.rounds} == {"r1", "r4"}
+        assert set(kept.startups.ids) == {"ok", "exited"}
+        assert set(kept.rounds.ids) == {"r1", "r4"}
 
     @given(st.data())
     def test_matches_brute_force_row_scan(self, data):
@@ -281,11 +287,11 @@ class TestFilterStartups:
             and s.founded_date > dt.date(2000, 1, 1)
             and s.startup_id in funded
         ]
-        assert [s.startup_id for s in kept.startups] == expected
+        assert list(kept.startups.ids) == expected
 
         twice = filter_startups(kept)
-        assert twice.startups == kept.startups
-        assert twice.rounds == kept.rounds
+        assert rows(twice.startups) == rows(kept.startups)
+        assert rows(twice.rounds) == rows(kept.rounds)
 
 
 class TestValidateDataset:
@@ -379,7 +385,7 @@ def reference_load(startups_path, rounds_path, investors_path):
             status_class = StartupStatus(status.strip().lower())
         except ValueError:
             raise SchemaError(f"{where}: unknown status {status!r}") from None
-        startups.append(RawStartup(sid, name, country.strip(), status_class,
+        startups.append(StartupRow(sid, name, country.strip(), status_class,
                                    _reference_date(founded, where), _reference_list(tags)))
 
     investors, seen_investors = [], set()
@@ -406,7 +412,7 @@ def reference_load(startups_path, rounds_path, investors_path):
         if rid in seen_rounds:
             raise SchemaError(f"{where}: duplicate round_id {rid!r}")
         seen_rounds.add(rid)
-        record = RawRound(rid, sid.strip(), _reference_date(announced, where), stage.strip(),
+        record = RoundRow(rid, sid.strip(), _reference_date(announced, where), stage.strip(),
                           _reference_amount(amount, where), _reference_list(members))
         for k, iid in enumerate(record.investor_ids):
             if iid in record.investor_ids[:k]:
@@ -516,8 +522,8 @@ def test_loader_matches_row_by_row_reference(tmp_path_factory, data):
     got, error = _outcome(load_dataset, paths)
     assert error == expected_error
     if expected is not None:
-        assert list(got.startups) == expected[0]
-        assert list(got.rounds) == expected[1]
+        assert rows(got.startups) == expected[0]
+        assert rows(got.rounds) == expected[1]
         assert list(got.investors) == expected[2]
 
 
@@ -542,6 +548,7 @@ def _stored_columns(dataset):
 
 
 def test_records_and_loaded_dump_store_equal_columns(tmp_path, small_ontology):
+    """A dataset loaded from row records and its dump loaded back hold equal columns."""
     built = make_dataset(
         [make_startup("s1", ["Alpha"], name="One, Inc."),
          make_startup("s2", ["Beta", "dual-child"], status=StartupStatus.IPO),
@@ -556,4 +563,3 @@ def test_records_and_loaded_dump_store_equal_columns(tmp_path, small_ontology):
     loaded = load_dataset(paths["startups"], paths["rounds"], paths["investors"],
                           paths["ontology"])
     assert _stored_columns(loaded) == _stored_columns(built)
-    assert loaded == built

@@ -1,6 +1,7 @@
 """Profile-table construction: splitting, aggregation, grouping."""
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorspace.errors import AnalysisError, StageError
-from sectorspace.ingest import StageClass, ValidatedDataset, classify_stage
+from sectorspace.ingest import StageClass, classify_stage
 from sectorspace.profiles import (
     STAGE_SLOTS,
     GroupSpec,
@@ -32,6 +33,8 @@ from conftest import (
     make_ontology,
     make_round,
     make_startup,
+    rows,
+    tiny_tables,
 )
 
 NO_EXCLUDE = ProfileOptions(exclude_sectors=frozenset())
@@ -39,26 +42,22 @@ NO_EXCLUDE = ProfileOptions(exclude_sectors=frozenset())
 
 class TestSplitRound:
     def test_two_parents_half_each(self):
-        rnd = make_round("r1", "s1", 2010, ["i1"], amount=500_000)
-        shares = split_round(rnd, {"Alpha", "Beta"})
+        shares = split_round("r1", 500_000.0, {"Alpha", "Beta"})
         assert shares == [("Alpha", 0.5, 250_000.0), ("Beta", 0.5, 250_000.0)]
 
     def test_three_parents_sums_back(self):
-        rnd = make_round("r1", "s1", 2010, ["i1"], amount=300_000)
-        shares = split_round(rnd, {"Alpha", "Beta", "Gamma"})
+        shares = split_round("r1", 300_000.0, {"Alpha", "Beta", "Gamma"})
         assert all(w == pytest.approx(1 / 3) for _, w, _ in shares)
         assert sum(w for _, w, _ in shares) == pytest.approx(1.0, abs=1e-9)
         assert sum(a for _, _, a in shares) == pytest.approx(300_000.0, abs=1e-6)
 
     def test_empty_parent_set_routes_to_sink(self, caplog):
-        rnd = make_round("r1", "s1", 2010, ["i1"])
         with caplog.at_level("WARNING"):
-            assert split_round(rnd, set()) == []
+            assert split_round("r1", 1e6, set()) == []
         assert "r1" in caplog.text
 
     def test_unknown_amount_counts_rounds_only(self):
-        rnd = make_round("r1", "s1", 2010, ["i1"], amount=None)
-        assert split_round(rnd, {"Alpha"}) == [("Alpha", 1.0, 0.0)]
+        assert split_round("r1", math.nan, {"Alpha"}) == [("Alpha", 1.0, 0.0)]
 
 
 class TestBuildProfiles:
@@ -101,9 +100,10 @@ class TestBuildProfiles:
         dataset = make_dataset(startups, rounds, investors, small_ontology)
         profiles = build_profiles(dataset, options=NO_EXCLUDE)
 
+        tags_of = {startup.startup_id: startup.tags for startup in startups}
         expected = dict.fromkeys(TAGS4, 0.0)
         for rnd in rounds:
-            tags = dataset.startup_by_id[rnd.startup_id].tags
+            tags = tags_of[rnd.startup_id]
             for tag in tags:
                 expected[tag] += len(rnd.investor_ids) / len(tags)
         totals = np.zeros(len(TAGS4))
@@ -159,12 +159,8 @@ class TestBuildProfiles:
             build_profiles(dataset, options=ProfileOptions(strict_stage=True))
 
     def test_row_order_never_matters(self, tiny_dataset):
-        reversed_dataset = ValidatedDataset(
-            startups=tiny_dataset.startups[::-1],
-            rounds=tiny_dataset.rounds[::-1],
-            investors=tiny_dataset.investors[::-1],
-            ontology=tiny_dataset.ontology,
-        )
+        reversed_dataset = make_dataset(*(table[::-1] for table in tiny_tables()),
+                                        tiny_dataset.ontology)
         a = build_profiles(tiny_dataset, options=NO_EXCLUDE)
         b = build_profiles(reversed_dataset, options=NO_EXCLUDE)
         assert_same_profiles(a, b)
@@ -202,8 +198,9 @@ def reference_profiles(dataset, options):
     ontology = dataset.ontology
     sectors = options.effective_sectors(ontology)
     sector_index = {tag: i for i, tag in enumerate(sectors)}
+    startup_by_id = {startup.startup_id: startup for startup in rows(dataset.startups)}
     acc = {}
-    for rnd in dataset.rounds:
+    for rnd in rows(dataset.rounds):
         year = rnd.announced_date.year
         if year not in options.years:
             continue
@@ -213,7 +210,7 @@ def reference_profiles(dataset, options):
                 continue
         elif options.strict_stage:
             classify_stage(rnd.stage_label, strict=True)
-        parents, _ = ontology.resolve(dataset.startup_by_id[rnd.startup_id].tags)
+        parents, _ = ontology.resolve(startup_by_id[rnd.startup_id].tags)
         parents = sorted(parents)
         if not parents:
             continue
@@ -275,7 +272,7 @@ def test_slices_match_round_by_round_oracle(data):
         make_round(
             f"r{k}", f"s{data.draw(st.integers(0, n_startups - 1))}",
             data.draw(st.integers(2005, 2012)),
-            data.draw(st.lists(st.sampled_from(investor_ids), max_size=4)),
+            data.draw(st.lists(st.sampled_from(investor_ids), max_size=4, unique=True)),
             stage=data.draw(st.sampled_from(STAGE_LABELS)),
             amount=data.draw(st.one_of(st.none(), st.floats(0, 1e9),
                                        st.sampled_from([1e6, 2.5e6, 123456.789]))),

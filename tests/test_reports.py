@@ -7,7 +7,10 @@ read files back and compare against independently formatted expectations.
 import csv
 import datetime as dt
 import hashlib
+import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -18,9 +21,8 @@ from conftest import make_profiles
 from sectorspace import reports, svgplot
 from sectorspace.metrics import DistanceSeries, HeatmapGrid
 from sectorspace.pca import PCAModel, TrajectoryPoint
-from sectorspace.profiles import GroupSpec, StageClass
+from sectorspace.profiles import N_SLOTS, SLOT_STAGES, GroupSpec, ProfileTable, StageClass
 from sectorspace.reports import (
-    _cell,
     sha256_digest,
     write_distances,
     write_heatmaps,
@@ -42,36 +44,57 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
-class TestCell:
-    def test_scalar_formats(self):
-        assert _cell("plain") == "plain"
-        assert _cell(True) == "true"
-        assert _cell(np.bool_(False)) == "false"
-        assert _cell(7) == "7"
-        assert _cell(np.int64(-3)) == "-3"
-        assert _cell(0.1) == "0.1"
-        assert _cell(np.float64(1.0) / 3.0) == repr(1.0 / 3.0)
-        assert _cell(dt.date(2010, 3, 15)) == "2010-03-15"
-        assert _cell(None) == ""
+def _cell(value) -> str:
+    """The per-cell formatter the writers used before they passed native values."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if value is None:
+        return ""
+    raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
-    def test_bool_checked_before_int(self):
-        # bool is a subclass of int; the writer must not emit "1"
-        assert _cell(True) != "1"
 
-    def test_unformattable_type(self):
-        with pytest.raises(TypeError, match="list"):
-            _cell([1, 2])
+def cell_formatted(header, rows) -> bytes:
+    """The bytes of a CSV whose cells went through ``_cell``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(value) for value in row])
+    return buffer.getvalue().encode("utf-8")
 
 
 class TestWriteRows:
     def test_exact_bytes(self, tmp_path):
-        path = write_rows(tmp_path / "out.csv", ["a", "b"], [[1, 0.5], ["x", None]])
-        assert path.read_bytes() == b"a,b\n1,0.5\nx,\n"
+        path = write_rows(tmp_path / "out.csv", ["a", "b"], [[1, 0.5], ["x", -0.0]])
+        assert path.read_bytes() == b"a,b\n1,0.5\nx,-0.0\n"
 
     def test_quoting_round_trip(self, tmp_path):
         rows = [["Four, Inc.", 'say "hi"'], ["line\nbreak", "plain"]]
         path = write_rows(tmp_path / "q.csv", ["name", "note"], rows)
         assert read_csv(path) == [["name", "note"]] + rows
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_mode_matches_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.csv", "w", encoding="utf-8"):
+                pass
+            written = write_rows(tmp_path / "written.csv", ["a"], [[1]])
+            manifest = write_manifest(tmp_path / "manifest.json", "x", {}, {})
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert stat.S_IMODE(written.stat().st_mode) == mode
+        assert stat.S_IMODE(manifest.stat().st_mode) == mode
 
     def test_creates_parent_dirs(self, tmp_path):
         path = write_rows(tmp_path / "deep" / "nest" / "f.csv", ["a"], [[1]])
@@ -254,6 +277,125 @@ class TestWriters:
                                  stage=StageClass.SEED)
         got = read_csv(write_profiles(tmp_path / "p.csv", profiles))
         assert got[1][2] == "seed"
+
+
+# Cells the writers format: the listed floats are the edge cases of repr
+# (signed zero, the smallest subnormal, the switch to exponent notation).
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, float("nan"), float("inf"), -1.5]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+texts = st.text(alphabet=st.characters(codec="ascii", min_codepoint=32, max_codepoint=126)
+                | st.sampled_from(',"\n\r'), max_size=8)
+
+
+def float_array(data, shape):
+    return np.array(data.draw(st.lists(floats, min_size=int(np.prod(shape)),
+                                       max_size=int(np.prod(shape)))),
+                    dtype=np.float64).reshape(shape)
+
+
+class TestCellOracle:
+    """Every writer writes the bytes ``_cell`` gave for the same values.
+
+    Writers hand :mod:`csv` native values (``.tolist()``), and csv renders a
+    float with ``repr`` and anything else with ``str``, which for ints and
+    text is what ``_cell`` did. They must never pass a bool or a ``float32``:
+    csv writes ``True`` and ``0.1`` where ``_cell`` wrote ``true`` and
+    ``0.10000000149011612``.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_write_rows(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 12))
+        text = data.draw(st.lists(texts, min_size=n, max_size=n))
+        ints = np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                           min_size=n, max_size=n)), dtype=np.int64)
+        values = float_array(data, (n,))
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        header = ["text", "int", "float"]
+        write_rows(path, header, zip(text, ints.tolist(), values.tolist()))
+        assert path.read_bytes() == cell_formatted(header, zip(text, ints, values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_write_profiles(self, tmp_path_factory, data):
+        n, p = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 4))
+        sectors = tuple(data.draw(st.lists(texts.filter(bool), min_size=p, max_size=p,
+                                           unique=True)))
+        investor_ids = data.draw(st.lists(texts.filter(bool), min_size=n, max_size=n))
+        profiles = ProfileTable(
+            sectors=sectors,
+            investor_ids=np.array(investor_ids, dtype=str).reshape(n),
+            years=np.array(data.draw(st.lists(st.integers(1990, 2030), min_size=n,
+                                              max_size=n)), dtype=np.int64),
+            slots=np.array(data.draw(st.lists(st.integers(0, N_SLOTS - 1), min_size=n,
+                                              max_size=n)), dtype=np.intp),
+            # zero cells, -0.0 included, are skipped; NaN cells are not
+            rounds=np.where(float_array(data, (n, p)) > 0, float_array(data, (n, p)), 0.0),
+            amounts=float_array(data, (n, p)),
+        )
+        path = write_profiles(tmp_path_factory.mktemp("profiles") / "p.csv", profiles)
+        labels = ["all" if stage is None else stage.value for stage in SLOT_STAGES]
+        expected = [
+            [profiles.investor_ids[r], profiles.years[r], labels[profiles.slots[r]],
+             sectors[c], profiles.rounds[r, c], profiles.amounts[r, c]]
+            for r in range(n) for c in range(p) if profiles.rounds[r, c] != 0
+        ]
+        header = ["investor_id", "year", "stage", "sector", "rounds", "amount"]
+        assert path.read_bytes() == cell_formatted(header, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_write_heatmaps(self, tmp_path_factory, data):
+        nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        counts = {
+            year: np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=nx * ny,
+                                              max_size=nx * ny)),
+                           dtype=float).reshape(nx, ny)
+            for year in data.draw(st.sets(st.integers(2000, 2020), min_size=1, max_size=3))
+        }
+        grid = HeatmapGrid(np.linspace(0, 1, nx + 1), np.linspace(0, 1, ny + 1), counts)
+        out = tmp_path_factory.mktemp("heatmaps")
+        for path in write_heatmaps(out, grid):
+            grid_counts = counts[int(path.stem.split("_")[1])]
+            expected = [[ix, iy, int(grid_counts[ix, iy])]
+                        for iy in range(ny) for ix in range(nx)]
+            assert path.read_bytes() == cell_formatted(["xbin", "ybin", "count"], expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_write_tca_factors(self, tmp_path_factory, data):
+        rank = data.draw(st.integers(1, 3))
+        shape = [data.draw(st.integers(1, 4)) for _ in range(3)]
+        labelled = data.draw(st.booleans())
+        model = CPModel(
+            rank=rank,
+            investor_factors=float_array(data, (shape[0], rank)),
+            sector_factors=float_array(data, (shape[1], rank)),
+            temporal_factors=float_array(data, (shape[2], rank)),
+            component_weights=np.ones(rank),
+            seed=0,
+            investor_ids=tuple(f"i,{i}" for i in range(shape[0])) if labelled else (),
+            sectors=tuple(f'"s{j}"' for j in range(shape[1])) if labelled else (),
+            years=tuple(range(2010, 2010 + shape[2])) if labelled else (),
+        )
+        path = write_tca_factors(tmp_path_factory.mktemp("tca") / "f.csv", model)
+        expected = []
+        for mode, factor, labels in zip(
+                ("investor", "sector", "temporal"), model.factors,
+                (model.investor_ids, model.sectors, tuple(map(str, model.years)))):
+            labels = labels or tuple(str(i) for i in range(factor.shape[0]))
+            for r in range(rank):
+                for idx, label in enumerate(labels):
+                    expected.append([mode, r + 1, label, factor[idx, r]])
+        header = ["mode", "component", "index_label", "value"]
+        assert path.read_bytes() == cell_formatted(header, expected)
+
+    def test_bools_and_float32_are_not_cell_values(self, tmp_path):
+        values = [True, np.float32(0.1)]
+        path = write_rows(tmp_path / "b.csv", ["flag", "x"], [values])
+        assert path.read_bytes() == b"flag,x\nTrue,0.1\n"
+        assert cell_formatted(["flag", "x"], [values]) == b"flag,x\ntrue,0.10000000149011612\n"
 
 
 class TestManifest:

@@ -21,6 +21,8 @@ from sectorspace.synth import (
 )
 from sectorspace.tca import cp_als, factor_match_score, reconstruction_error
 
+from conftest import rows
+
 # chi-square critical value at alpha=0.01 for df=9
 CHI2_CRIT_DF9 = 21.665994333461924
 
@@ -172,8 +174,9 @@ class TestGenerateEcosystem:
         sectors = dataset.ontology.parent_tags
         index = {tag: i for i, tag in enumerate(sectors)}
         counts = np.zeros(len(sectors))
-        for rnd in dataset.rounds:
-            startup = dataset.startup_by_id[rnd.startup_id]
+        startup_by_id = {startup.startup_id: startup for startup in rows(dataset.startups)}
+        for rnd in rows(dataset.rounds):
+            startup = startup_by_id[rnd.startup_id]
             assert len(startup.tags) == 1
             counts[index[startup.tags[0]]] += 1
         assert counts.sum() >= 1e4  # calibration needs enough draws
@@ -192,11 +195,12 @@ class TestGenerateEcosystem:
         files, _ = generate_ecosystem(config, tmp_path)
         dataset = load_ecosystem(files)
         assert len(dataset.startups) < len(dataset.rounds)
-        for rnd in dataset.rounds:
-            startup = dataset.startup_by_id[rnd.startup_id]
+        startup_by_id = {startup.startup_id: startup for startup in rows(dataset.startups)}
+        for rnd in rows(dataset.rounds):
+            startup = startup_by_id[rnd.startup_id]
             assert rnd.announced_date.year == startup.founded_date.year
         per_startup = {}
-        for rnd in dataset.rounds:
+        for rnd in rows(dataset.rounds):
             per_startup[rnd.startup_id] = per_startup.get(rnd.startup_id, 0) + 1
         assert max(per_startup.values()) <= 3
 
