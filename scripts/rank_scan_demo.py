@@ -9,8 +9,6 @@ Usage:
 """
 import argparse
 
-import numpy as np
-
 from sectorspace import synth, tca
 from sectorspace.errors import AnalysisError
 
@@ -52,9 +50,7 @@ def main() -> int:
         print("no rank passed the similarity gate")
         return 1
     if chosen == args.rank:
-        model = tca.cp_als(tensor, chosen,
-                           seed=tca._restart_seed(args.seed, chosen, 0))
-        match = tca.factor_match_score(model, truth.cp_model())
+        match = tca.factor_match_score(diag.best_models[chosen], truth.cp_model())
         print(f"factor match against planted truth: {match:.3f}")
     return 0
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import metrics, pca, reports, svgplot, synth, tca
 from .errors import SectorSpaceError
 from .ingest import (
+    DEFAULT_COUNTRY,
     StageClass,
     ValidatedDataset,
     filter_startups,
@@ -23,12 +24,15 @@ from .ingest import (
     validate_dataset,
 )
 from .profiles import (
+    DEFAULT_YEARS,
     GroupSpec,
     ProfileOptions,
     SectorActivity,
     build_profiles,
     stage_partition,
 )
+
+DEFAULT_EXCLUDES = tuple(sorted(ProfileOptions().exclude_sectors))
 
 STAGE_FLAGS = {
     "seed": StageClass.SEED,
@@ -124,7 +128,7 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
             raise SectorSpaceError(f"--{name}: no such file: {path}")
     if args.ontology is not None and not Path(args.ontology).is_file():
         raise SectorSpaceError(f"--ontology: no such file: {args.ontology}")
-    excludes = tuple(v for v in (args.exclude_sector or ["Health Care"]) if v)
+    excludes = tuple(v for v in (args.exclude_sector or DEFAULT_EXCLUDES) if v)
     return PipelineConfig(
         startups=Path(args.startups),
         rounds=Path(args.rounds),
@@ -449,18 +453,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rounds", help="rounds.csv path")
     common.add_argument("--investors", help="investors.csv path")
     common.add_argument("--ontology", help="ontology JSON path (default: packaged)")
-    common.add_argument("--years", type=_parse_range, default=range(2000, 2018),
+    common.add_argument("--years", type=_parse_range, default=DEFAULT_YEARS,
                         metavar="FIRST:LAST", help="inclusive year window")
-    common.add_argument("--country", default="USA")
+    common.add_argument("--country", default=DEFAULT_COUNTRY)
     common.add_argument("--exclude-sector", action="append", metavar="TAG",
-                        help="parent tag to drop (default: Health Care; "
+                        help=f"parent tag to drop (default: {', '.join(DEFAULT_EXCLUDES)}; "
                              "pass an empty string to keep everything)")
     common.add_argument("--stage", choices=sorted(STAGE_FLAGS), default=None)
     common.add_argument("--pca-dim", type=partial(_parse_above, kind=int, bound=1), default=2)
     common.add_argument("--r-range", type=partial(_parse_range, minimum=1),
                         default=range(1, 9), metavar="LO:HI")
     common.add_argument("--restarts", type=partial(_parse_above, kind=int, bound=1), default=8)
-    common.add_argument("--tol", type=partial(_parse_above, kind=float, bound=0.0), default=1e-6)
+    common.add_argument("--tol", type=partial(_parse_above, kind=float, bound=0.0),
+                        default=tca.DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--grid", type=_parse_grid, default=(30, 30), metavar="NXxNY")
     common.add_argument("--out", default="out", help="output directory")

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError, SchemaError, StageError
-from .ontology import SectorOntology, default_ontology, dump_ontology, load_ontology, resolve_parents
+from .ontology import SectorOntology, default_ontology, dump_ontology, load_ontology
 
 __all__ = [
     "StartupStatus",
@@ -52,7 +52,6 @@ __all__ = [
     "dump_dataset",
     "filter_startups",
     "validate_dataset",
-    "resolve_parents",
 ]
 
 STARTUP_COLUMNS = ["startup_id", "name", "country_code", "status", "founded_date", "tags"]
@@ -99,7 +98,7 @@ class Categorical:
     values: tuple
 
     @classmethod
-    def encode(cls, cells, convert=None) -> "Categorical":
+    def encode(cls, cells, convert) -> "Categorical":
         """Encode ``cells``, running ``convert`` once per distinct cell.
 
         Cells whose converted values are equal share one code; values are
@@ -108,8 +107,7 @@ class Categorical:
         code_of = dict.fromkeys(cells)
         values: dict = {}
         for cell in code_of:
-            value = cell if convert is None else convert(cell)
-            code_of[cell] = values.setdefault(value, len(values))
+            code_of[cell] = values.setdefault(convert(cell), len(values))
         codes = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
         return cls(codes, tuple(values))
 
@@ -258,14 +256,13 @@ _SEPARATORS = re.compile(r"[\s_\-./]+")
 _SERIES = re.compile(r"^series ([a-z])$")
 
 
-def classify_stage(stage_label: str, strict: bool = False,
-                   default: StageClass | None = None) -> StageClass | None:
+def classify_stage(stage_label: str, strict: bool = False) -> StageClass | None:
     """Classify a free-form stage label into one of the four stage buckets.
 
     Case and punctuation are normalized first, so "Series-A", "series_a"
     and "SERIES A" agree. Any single-letter series from C onward lands in
-    ``SERIES_C_PLUS``. Unknown labels raise in strict mode and otherwise
-    fall back to ``default`` (``None`` = unclassified).
+    ``SERIES_C_PLUS``. Unknown labels raise in strict mode and are
+    otherwise unclassified (``None``).
     """
     norm = _SEPARATORS.sub(" ", stage_label.strip().lower()).strip()
     if norm == "seed":
@@ -280,7 +277,7 @@ def classify_stage(stage_label: str, strict: bool = False,
         return StageClass.SERIES_C_PLUS
     if strict:
         raise StageError(f"unknown stage label {stage_label!r}")
-    return default
+    return None
 
 
 # Cell converters return None for a cell the schema rejects.
@@ -517,18 +514,17 @@ def dump_dataset(dataset: ValidatedDataset, out_dir) -> dict[str, Path]:
 
 
 def filter_startups(dataset: ValidatedDataset,
-                    cutoff: dt.date = DEFAULT_FOUNDED_CUTOFF,
                     country: str = DEFAULT_COUNTRY) -> ValidatedDataset:
     """Keep startups that match ``country``, are not closed, were founded
-    strictly after ``cutoff`` and appear in at least one round; drop the
-    rounds of removed startups. Idempotent.
+    strictly after ``DEFAULT_FOUNDED_CUTOFF`` (2000-01-01) and appear in at
+    least one round; drop the rounds of removed startups. Idempotent.
     """
     startups, rounds = dataset.startups, dataset.rounds
     keep = np.zeros(len(startups), dtype=bool)
     keep[rounds.startup] = True
     keep &= startups.country.rows_where(lambda code: code == country)
     keep &= startups.status.rows_where(lambda status: status is not StartupStatus.CLOSED)
-    keep &= startups.founded.rows_where(lambda founded: founded > cutoff)
+    keep &= startups.founded.rows_where(lambda founded: founded > DEFAULT_FOUNDED_CUTOFF)
     kept = startups.take(np.flatnonzero(keep))
     return ValidatedDataset(
         startups=kept,

@@ -67,8 +67,7 @@ class DistanceSeries:
 
 
 def distance_series(profiles: ProfileTable, group_a: GroupSpec,
-                    group_b: GroupSpec, years=None,
-                    investors: dict | None = None) -> DistanceSeries:
+                    group_b: GroupSpec, investors: dict | None = None) -> DistanceSeries:
     """Yearly barycenter-to-barycenter distance between two groups.
 
     Years where either group has no activity are omitted; no common year
@@ -77,8 +76,6 @@ def distance_series(profiles: ProfileTable, group_a: GroupSpec,
     a_by_year = profiles_by_year(group_profiles(profiles, group_a, investors))
     b_by_year = profiles_by_year(group_profiles(profiles, group_b, investors))
     common = sorted(set(a_by_year) & set(b_by_year))
-    if years is not None:
-        common = [y for y in common if y in years]
     if not common:
         raise AnalysisError(
             f"groups {group_a.label()} and {group_b.label()} share no active year"
@@ -127,19 +124,18 @@ def heatmap_slice(profiles: ProfileTable, model: PCAModel,
 
 
 def heatmap_grid(profiles: ProfileTable, model: PCAModel,
-                 n_x: int = 30, n_y: int = 30,
-                 percentile_range: tuple[float, float] = (1.0, 99.0)) -> HeatmapGrid:
+                 n_x: int = 30, n_y: int = 30) -> HeatmapGrid:
     """Shared-edges heatmap over all years, so yearly panels are comparable.
 
-    Edges span the 1st-99th percentile of all projected points by default;
-    the stragglers outside clamp into the border bins.
+    Edges span the 1st-99th percentile of all projected points; the
+    stragglers outside clamp into the border bins.
     """
     unfiltered = profiles.of_stage(None)
     if not len(unfiltered):
         raise AnalysisError("no profiles to bin")
     points = project(model, share_matrix(unfiltered))
     years = unfiltered.years
-    lo, hi = np.percentile(points, percentile_range, axis=0)
+    lo, hi = np.percentile(points, (1.0, 99.0), axis=0)
     if not (hi > lo).all():
         raise AnalysisError("degenerate bin edges: projected points do not spread")
     x_edges = np.linspace(lo[0], hi[0], n_x + 1)

@@ -80,11 +80,6 @@ class SectorOntology:
         return frozenset(parents), tuple(unknown)
 
 
-def resolve_parents(tags, ontology: SectorOntology) -> tuple[frozenset[str], tuple[str, ...]]:
-    """Functional alias for :meth:`SectorOntology.resolve`."""
-    return ontology.resolve(tags)
-
-
 def load_ontology(path) -> SectorOntology:
     """Load an ontology from a JSON file.
 

@@ -88,8 +88,7 @@ class PCAModel:
     axes: np.ndarray
     explained_variance: np.ndarray
     total_variance: float
-    params: StandardizationParams | None = None
-    sign_convention: str = "max-loading-positive"
+    params: StandardizationParams
 
     @property
     def n_components(self) -> int:
@@ -98,10 +97,6 @@ class PCAModel:
     @property
     def n_features(self) -> int:
         return self.axes.shape[1]
-
-    def inverse(self, coords: np.ndarray) -> np.ndarray:
-        """Back-projection into standardized sector space."""
-        return np.asarray(coords, dtype=float) @ self.axes
 
 
 def _fix_signs(axes: np.ndarray) -> np.ndarray:
@@ -115,12 +110,14 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
     return axes
 
 
-def fit_pca(standardized: np.ndarray, n_components: int) -> PCAModel:
+def fit_pca(standardized: np.ndarray, n_components: int,
+            params: StandardizationParams) -> PCAModel:
     """Eigendecompose the P x P sample covariance of an already-standardized matrix.
 
     P is small here, so the covariance route is exact and cheap. The model
-    keeps the top ``n_components`` axes; ``total_variance`` retains the
-    covariance trace for variance accounting.
+    keeps the top ``n_components`` axes and the ``params`` that produced
+    ``standardized``, which :func:`project` applies to raw vectors;
+    ``total_variance`` retains the covariance trace for variance accounting.
     """
     standardized = np.asarray(standardized, dtype=float)
     n, p = standardized.shape
@@ -140,25 +137,18 @@ def fit_pca(standardized: np.ndarray, n_components: int) -> PCAModel:
         axes=axes,
         explained_variance=eigvals[:n_components].copy(),
         total_variance=float(np.trace(cov)),
+        params=params,
     )
 
 
 def fit_pca_model(matrix: np.ndarray, n_components: int) -> PCAModel:
     """Standardize a raw profile matrix and fit the principal axes in one step."""
     standardized, params = standardize(matrix)
-    model = fit_pca(standardized, n_components)
-    return PCAModel(
-        axes=model.axes,
-        explained_variance=model.explained_variance,
-        total_variance=model.total_variance,
-        params=params,
-    )
+    return fit_pca(standardized, n_components, params)
 
 
 def project(model: PCAModel, vector: np.ndarray) -> np.ndarray:
     """Coordinates of a raw sector-space vector (or row-stack) in the model plane."""
-    if model.params is None:
-        raise AnalysisError("model carries no standardization params")
     # one vector-matrix product per row: a row gets the same bits alone or stacked
     return (apply_standardization(vector, model.params)[..., None, :] @ model.axes.T)[..., 0, :]
 
@@ -169,8 +159,6 @@ def project_sigma(model: PCAModel, sigma: np.ndarray) -> np.ndarray:
     Projection is affine, z = A (x - mu) / s, so the variance along axis a
     is sum_k (A[a,k]/s_k)^2 sigma_k^2 for independent coordinate errors.
     """
-    if model.params is None:
-        raise AnalysisError("model carries no standardization params")
     scaled = model.axes / model.params.safe_stds
     if model.params.constant_columns:
         scaled = scaled.copy()

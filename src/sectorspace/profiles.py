@@ -39,27 +39,19 @@ DEFAULT_YEARS = range(2000, 2018)
 class ProfileOptions:
     """Knobs for profile construction.
 
-    ``exclude_sectors`` names parent tags removed from the analysis; with
-    ``exclude_mode="drop"`` the dimensions disappear (P shrinks), with
-    ``"zero"`` they stay but are zeroed. Excluded names absent from the
+    ``exclude_sectors`` names parent tags dropped from the analysis: their
+    dimensions disappear (P shrinks). Excluded names absent from the
     ontology are ignored. ``strict_stage`` makes unclassifiable stage
     labels an error instead of leaving the round stage-less.
     """
 
     exclude_sectors: frozenset[str] = frozenset({"Health Care"})
-    exclude_mode: str = "drop"
     stage_filter: StageClass | None = None
     years: range = DEFAULT_YEARS
     strict_stage: bool = False
 
-    def __post_init__(self):
-        if self.exclude_mode not in ("drop", "zero"):
-            raise AnalysisError(f"unknown exclude_mode {self.exclude_mode!r}")
-
     def effective_sectors(self, ontology: SectorOntology) -> tuple[str, ...]:
-        if self.exclude_mode == "drop":
-            return tuple(t for t in ontology.parent_tags if t not in self.exclude_sectors)
-        return ontology.parent_tags
+        return tuple(t for t in ontology.parent_tags if t not in self.exclude_sectors)
 
 
 @dataclass(frozen=True)
@@ -86,15 +78,13 @@ class GroupSpec:
         return "all"
 
 
-def split_round(round_id: str, amount: float, parents, participation: float = 1.0
-                ) -> list[tuple[str, float, float]]:
+def split_round(round_id: str, amount: float, parents) -> list[tuple[str, float, float]]:
     """Equal split of one investor's participation in a round.
 
-    Each of the k parent tags receives ``participation / k`` round weight
-    and ``participation * amount / k`` amount weight; an unknown (NaN)
-    amount books none. An empty parent set routes the round to the
-    unclassified sink: the caller gets ``[]`` and a log record naming
-    ``round_id``.
+    Each of the k parent tags receives ``1 / k`` round weight and
+    ``amount / k`` amount weight; an unknown (NaN) amount books none. An
+    empty parent set routes the round to the unclassified sink: the caller
+    gets ``[]`` and a log record naming ``round_id``.
     """
     parents = sorted(parents)
     if not parents:
@@ -103,7 +93,7 @@ def split_round(round_id: str, amount: float, parents, participation: float = 1.
     k = len(parents)
     if math.isnan(amount):
         amount = 0.0
-    return [(tag, participation / k, participation * amount / k) for tag in parents]
+    return [(tag, 1.0 / k, amount / k) for tag in parents]
 
 
 # slot 0 books every round, slot s only the rounds of stage SLOT_STAGES[s]
@@ -172,8 +162,7 @@ class SectorActivity:
     unclassified: tuple[tuple[int, str], ...]
 
     @classmethod
-    def from_dataset(cls, dataset: ValidatedDataset,
-                     ontology: SectorOntology | None = None) -> "SectorActivity":
+    def from_dataset(cls, dataset: ValidatedDataset) -> "SectorActivity":
         """Accumulate ``dataset`` in one pass.
 
         Each distinct tag set of a funded startup is resolved once and each
@@ -185,8 +174,7 @@ class SectorActivity:
         bit for bit. Rounds whose startup has no classified parent are
         excluded with one log record.
         """
-        if ontology is None:
-            ontology = dataset.ontology
+        ontology = dataset.ontology
         rounds, tags = dataset.rounds, dataset.startups.tags
         sector_index = {tag: i for i, tag in enumerate(ontology.parent_tags)}
 
@@ -236,16 +224,13 @@ class SectorActivity:
                    amount_w.reshape(shape), unclassified)
 
 
-def _activity(source, ontology: SectorOntology | None) -> SectorActivity:
-    if not isinstance(source, SectorActivity):
-        return SectorActivity.from_dataset(source, ontology)
-    if ontology is not None and ontology != source.ontology:
-        raise AnalysisError("the activity was accumulated under another ontology")
-    return source
+def _activity(source: ValidatedDataset | SectorActivity) -> SectorActivity:
+    if isinstance(source, SectorActivity):
+        return source
+    return SectorActivity.from_dataset(source)
 
 
 def build_profiles(dataset: ValidatedDataset | SectorActivity,
-                   ontology: SectorOntology | None = None,
                    options: ProfileOptions = ProfileOptions()) -> ProfileTable:
     """One row per (investor, year) with any activity, sorted by id then year.
 
@@ -257,7 +242,7 @@ def build_profiles(dataset: ValidatedDataset | SectorActivity,
     """
     if len(options.years) == 0:
         raise AnalysisError("empty years range")
-    activity = _activity(dataset, ontology)
+    activity = _activity(dataset)
     if options.strict_stage:
         for year, label in activity.unclassified:
             if year in options.years:
@@ -268,10 +253,6 @@ def build_profiles(dataset: ValidatedDataset | SectorActivity,
     columns = [activity.ontology.index(tag) for tag in sectors]
     rounds = activity.rounds[:, in_window, slot][..., columns]
     amounts = activity.amounts[:, in_window, slot][..., columns]
-    if options.exclude_mode == "zero":
-        zeroed = [i for i, tag in enumerate(sectors) if tag in options.exclude_sectors]
-        rounds[..., zeroed] = 0.0
-        amounts[..., zeroed] = 0.0
 
     active = rounds.sum(axis=-1) > 0
     investor_rows, year_rows = np.nonzero(active)
@@ -317,11 +298,10 @@ def share_matrix(profiles: ProfileTable) -> np.ndarray:
 
 
 def stage_partition(dataset: ValidatedDataset | SectorActivity,
-                    ontology: SectorOntology | None = None,
                     options: ProfileOptions = ProfileOptions()
                     ) -> dict[StageClass, ProfileTable]:
     """Profiles of each stage bucket, sliced from one accumulation."""
-    activity = _activity(dataset, ontology)
+    activity = _activity(dataset)
     return {
         stage: build_profiles(activity, options=replace(options, stage_filter=stage))
         for stage in StageClass

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .reports import _write_atomically
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f")
 WIDTH = 640
@@ -132,16 +134,12 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
 
 
 def trajectory_chart(points: list[tuple[int, float, float]], title: str = "",
-                     x_label: str = "PC1", y_label: str = "PC2",
-                     annotations: list[tuple[str, float, float]] | None = None) -> str:
-    """Year-labelled path through a 2-D plane, with optional fixed markers."""
+                     x_label: str = "PC1", y_label: str = "PC2") -> str:
+    """Year-labelled path through a 2-D plane."""
     if not points:
         raise ValueError("nothing to plot")
     xs = [p[1] for p in points]
     ys = [p[2] for p in points]
-    if annotations:
-        xs += [a[1] for a in annotations]
-        ys += [a[2] for a in annotations]
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
     parts = _axes(frame, title, x_label, y_label)
     path = " ".join(
@@ -154,12 +152,6 @@ def trajectory_chart(points: list[tuple[int, float, float]], title: str = "",
         parts.append(f'<circle cx="{px}" cy="{py}" r="3" fill="{PALETTE[0]}"/>')
         parts.append(f'<text x="{px}" y="{_fmt(frame.y(y) - 6)}" font-size="9" '
                      f'text-anchor="middle">{year}</text>')
-    for label, x, y in annotations or []:
-        px, py = _fmt(frame.x(x)), _fmt(frame.y(y))
-        parts.append(f'<rect x="{_fmt(frame.x(x) - 3)}" y="{_fmt(frame.y(y) - 3)}" '
-                     f'width="6" height="6" fill="{PALETTE[1]}"/>')
-        parts.append(f'<text x="{px}" y="{_fmt(frame.y(y) + 14)}" font-size="9" '
-                     f'text-anchor="middle" fill="{PALETTE[1]}">{label}</text>')
     return _document(parts)
 
 
@@ -233,6 +225,5 @@ def bar_chart(labels: list[str], values: list[float], title: str = "",
 
 
 def save_svg(path, content: str) -> Path:
-    path = Path(path)
-    path.write_text(content, encoding="utf-8")
-    return path
+    """Write an SVG document atomically, as the CSVs and manifests are written."""
+    return _write_atomically(path, lambda handle: handle.write(content))

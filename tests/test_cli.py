@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorspace import cli, synth
+from sectorspace import cli, ingest, profiles, synth, tca
 from sectorspace.ontology import SectorOntology, dump_ontology
 from sectorspace.reports import sha256_digest
 
@@ -160,7 +160,11 @@ class TestParser:
 
     def test_defaults(self):
         args = cli.build_parser().parse_args(["all"])
-        assert args.years == range(2000, 2018)
+        assert args.years == range(2000, 2018) == profiles.DEFAULT_YEARS
+        assert args.country == "USA" == ingest.DEFAULT_COUNTRY
+        assert args.exclude_sector is None
+        assert cli.DEFAULT_EXCLUDES == ("Health Care",)
+        assert args.tol == 1e-6 == tca.DEFAULT_TOL
         assert args.r_range == range(1, 9)
         assert args.restarts == 8
         assert args.grid == (30, 30)
@@ -282,11 +286,13 @@ EXPECTED_ALL = [
 ]
 
 
+SMOKE_FLAGS = ["--years", "2008:2013", "--r-range", "1:3", "--restarts", "3", "--grid", "5x5"]
+STAGES = ["profiles", "pca", "tca", "distances", "spread"]
+
+
 class TestAll:
     def run_all(self, smoke_dir, out):
-        return cli.main(["all", *table_flags(smoke_dir),
-                         "--years", "2008:2013", "--r-range", "1:3",
-                         "--restarts", "3", "--grid", "5x5", "--out", str(out)])
+        return cli.main(["all", *table_flags(smoke_dir), *SMOKE_FLAGS, "--out", str(out)])
 
     def test_full_artifact_set(self, smoke_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -338,6 +344,40 @@ class TestAll:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def stage_outputs(smoke_dir, tmp_path_factory):
+    """``all`` and each single-stage command, run on the smoke tables with one flag set."""
+    outputs = {}
+    for command in ["all", *STAGES]:
+        out = tmp_path_factory.mktemp(command)
+        assert cli.main([command, *table_flags(smoke_dir), *SMOKE_FLAGS,
+                         "--out", str(out)]) == 0
+        outputs[command] = out
+    return outputs
+
+
+class TestSingleStages:
+    """Each single-stage command writes what ``all`` writes for that stage."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_files_and_manifest_match_all(self, stage_outputs, stage):
+        everything, own = stage_outputs["all"], stage_outputs[stage]
+        for path in own.iterdir():
+            if path.name != f"manifest_{stage}.json":
+                assert path.read_bytes() == (everything / path.name).read_bytes(), path.name
+        combined = json.loads((everything / "manifest_all.json").read_text())
+        manifest = json.loads((own / f"manifest_{stage}.json").read_text())
+        assert manifest["results"] == combined["results"][stage]
+        assert manifest["config"] == combined["config"]
+        assert manifest["inputs"] == combined["inputs"]
+
+    def test_stages_together_write_every_file(self, stage_outputs):
+        written = {path.name for stage in STAGES for path in stage_outputs[stage].iterdir()}
+        expected = {path.name for path in stage_outputs["all"].iterdir()}
+        assert written - {f"manifest_{stage}.json" for stage in STAGES} == (
+            expected - {"manifest_all.json"})
 
 
 class TestSynthCommand:

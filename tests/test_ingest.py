@@ -92,7 +92,6 @@ class TestClassifyStage:
 
     def test_unknown_lenient_falls_back(self):
         assert classify_stage("pre-seed") is None
-        assert classify_stage("pre-seed", default=StageClass.SEED) is StageClass.SEED
 
 
 class TestLoadDataset:

@@ -18,8 +18,8 @@ from sectorspace.metrics import (
     heatmap_slice,
     spread_series,
 )
-from sectorspace.pca import BarycenterPoint, barycenter, fit_on_profiles
-from sectorspace.profiles import GroupSpec, ProfileTable
+from sectorspace.pca import BarycenterPoint, barycenter, fit_on_profiles, project
+from sectorspace.profiles import GroupSpec, ProfileTable, share_matrix
 
 from conftest import make_investor, make_profiles
 
@@ -156,13 +156,6 @@ class TestDistanceSeries:
                             GroupSpec(investor_type="accelerator"),
                             investors=investors)
 
-    def test_years_restriction(self):
-        profiles, investors = self.two_group_profiles()
-        series = distance_series(profiles, GroupSpec(investor_type="vc"),
-                                 GroupSpec(investor_type="accelerator"),
-                                 years=range(2012, 2013), investors=investors)
-        assert series.years == (2012,)
-
     def test_minimum_year(self):
         profiles, investors = self.two_group_profiles()
         # move the 2012 vc block onto the accelerator so 2012 is the minimum
@@ -209,8 +202,11 @@ class TestHeatmap:
     def test_out_of_range_points_clamp(self):
         profiles = self.spread_profiles()
         model = fit_on_profiles(profiles, 2)
-        grid = heatmap_grid(profiles, model, n_x=6, n_y=6,
-                            percentile_range=(30.0, 70.0))
+        grid = heatmap_grid(profiles, model, n_x=6, n_y=6)
+        points = project(model, share_matrix(profiles))
+        outside = ((points[:, 0] < grid.x_edges[0]) | (points[:, 0] > grid.x_edges[-1])
+                   | (points[:, 1] < grid.y_edges[0]) | (points[:, 1] > grid.y_edges[-1]))
+        assert outside.any()  # the edges sit on the 1st and 99th percentiles
         total = sum(c.sum() for c in grid.counts.values())
         assert total == len(profiles)
 

@@ -11,31 +11,30 @@ from sectorspace.ontology import (
     default_ontology,
     dump_ontology,
     load_ontology,
-    resolve_parents,
 )
 
 from conftest import TAGS4, make_ontology
 
 
 def test_parent_maps_to_itself(small_ontology):
-    parents, unknown = resolve_parents(["Alpha"], small_ontology)
+    parents, unknown = small_ontology.resolve(["Alpha"])
     assert parents == frozenset({"Alpha"})
     assert unknown == ()
 
 
 def test_empty_tag_list(small_ontology):
-    parents, unknown = resolve_parents([], small_ontology)
+    parents, unknown = small_ontology.resolve([])
     assert parents == frozenset()
     assert unknown == ()
 
 
 def test_child_with_two_parents(small_ontology):
-    parents, _ = resolve_parents(["dual-child"], small_ontology)
+    parents, _ = small_ontology.resolve(["dual-child"])
     assert parents == frozenset({"Alpha", "Beta"})
 
 
 def test_unknown_tags_collected_in_order(small_ontology):
-    parents, unknown = resolve_parents(["zzz", "alpha-child", "yyy"], small_ontology)
+    parents, unknown = small_ontology.resolve(["zzz", "alpha-child", "yyy"])
     assert parents == frozenset({"Alpha"})
     assert unknown == ("zzz", "yyy")
 

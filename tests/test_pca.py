@@ -113,29 +113,24 @@ class TestFitPCA:
         matrix = rng.random((40, 6))
         model = fit_pca_model(matrix, 6)
         standardized = apply_standardization(matrix, model.params)
-        recovered = model.inverse(project(model, matrix))
+        recovered = project(model, matrix) @ model.axes
         np.testing.assert_allclose(recovered, standardized, atol=1e-8)
 
     def test_component_bounds(self):
         rng = np.random.default_rng(11)
-        standardized, _ = standardize(rng.random((10, 4)))
+        standardized, params = standardize(rng.random((10, 4)))
         for bad in (0, 5):
             with pytest.raises(AnalysisError):
-                fit_pca(standardized, bad)
+                fit_pca(standardized, bad, params)
 
-    def test_project_needs_params(self):
+    def test_fit_keeps_the_params_it_is_given(self):
         rng = np.random.default_rng(12)
-        standardized, _ = standardize(rng.random((10, 4)))
-        bare = fit_pca(standardized, 2)
-        with pytest.raises(AnalysisError, match="standardization"):
-            project(bare, np.zeros(4))
-
-    def test_project_sigma_needs_params(self):
-        rng = np.random.default_rng(12)
-        standardized, _ = standardize(rng.random((10, 4)))
-        bare = fit_pca(standardized, 2)
-        with pytest.raises(AnalysisError, match="standardization"):
-            project_sigma(bare, np.ones(4))
+        matrix = rng.random((10, 4))
+        standardized, params = standardize(matrix)
+        model = fit_pca(standardized, 2, params)
+        assert model.params is params
+        np.testing.assert_allclose(project(model, matrix), standardized @ model.axes.T,
+                                   atol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

@@ -121,6 +121,7 @@ class TestBuildProfiles:
         assert seed_only.slots.tolist() == [STAGE_SLOTS[StageClass.SEED]]
 
     def test_exclude_modes(self, small_ontology):
+        """An excluded sector's dimension is dropped; its share of the split is lost."""
         dataset = make_dataset(
             [make_startup("s1", ["Alpha", "Beta"])],
             [make_round("r1", "s1", 2010, ["i1"])],
@@ -131,12 +132,6 @@ class TestBuildProfiles:
             dataset, options=ProfileOptions(exclude_sectors=frozenset({"Beta"})))
         assert dropped.sectors == ("Alpha", "Gamma", "Delta")
         np.testing.assert_allclose(dropped.rounds[0], [0.5, 0, 0])
-
-        zeroed = build_profiles(
-            dataset, options=ProfileOptions(exclude_sectors=frozenset({"Beta"}),
-                                            exclude_mode="zero"))
-        assert zeroed.sectors == TAGS4
-        np.testing.assert_allclose(zeroed.rounds[0], [0.5, 0, 0, 0])
 
     def test_years_window(self, tiny_dataset):
         profiles = build_profiles(
@@ -216,7 +211,6 @@ def reference_profiles(dataset, options):
             continue
         k = len(parents)
         amount = rnd.amount_usd or 0.0
-        participation = 1.0
         for investor_id in rnd.investor_ids:
             rounds_vec, amount_vec = acc.setdefault(
                 (investor_id, year), (np.zeros(len(sectors)), np.zeros(len(sectors))))
@@ -224,10 +218,8 @@ def reference_profiles(dataset, options):
                 idx = sector_index.get(tag)
                 if idx is None:
                     continue
-                if options.exclude_mode == "zero" and tag in options.exclude_sectors:
-                    continue
-                rounds_vec[idx] += participation / k
-                amount_vec[idx] += participation * amount / k
+                rounds_vec[idx] += 1.0 / k
+                amount_vec[idx] += amount / k
     keys = [key for key in sorted(acc) if acc[key][0].sum() > 0]
     return ProfileTable(
         sectors=sectors,
@@ -285,7 +277,6 @@ def test_slices_match_round_by_round_oracle(data):
     options = ProfileOptions(
         exclude_sectors=frozenset(data.draw(st.sets(st.sampled_from(
             list(TAGS4) + ["Nowhere"])))),
-        exclude_mode=data.draw(st.sampled_from(["drop", "zero"])),
         stage_filter=data.draw(st.sampled_from([None, *StageClass])),
         years=range(first, data.draw(st.integers(first + 1, 2014))),
         strict_stage=data.draw(st.booleans()),
@@ -304,12 +295,6 @@ def test_slices_match_round_by_round_oracle(data):
     for stage in StageClass:
         assert_same_profiles(parts[stage], reference_profiles(
             dataset, replace(options, stage_filter=stage)))
-
-
-def test_activity_rejects_another_ontology(tiny_dataset):
-    activity = SectorActivity.from_dataset(tiny_dataset)
-    with pytest.raises(AnalysisError, match="ontology"):
-        build_profiles(activity, make_ontology(parent_tags=("Alpha", "Beta")))
 
 
 def test_stage_partition_sums_to_unfiltered(tiny_dataset):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import make_profiles
 from sectorspace import reports, svgplot
 from sectorspace.metrics import DistanceSeries, HeatmapGrid
-from sectorspace.pca import PCAModel, TrajectoryPoint
+from sectorspace.pca import PCAModel, StandardizationParams, TrajectoryPoint
 from sectorspace.profiles import N_SLOTS, SLOT_STAGES, GroupSpec, ProfileTable, StageClass
 from sectorspace.reports import (
     sha256_digest,
@@ -89,12 +89,14 @@ class TestWriteRows:
                 pass
             written = write_rows(tmp_path / "written.csv", ["a"], [[1]])
             manifest = write_manifest(tmp_path / "manifest.json", "x", {}, {})
+            chart = svgplot.save_svg(tmp_path / "chart.svg", svgplot.bar_chart(["a"], [1.0]))
         finally:
             os.umask(previous)
         mode = stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
         assert mode == 0o666 & ~umask
         assert stat.S_IMODE(written.stat().st_mode) == mode
         assert stat.S_IMODE(manifest.stat().st_mode) == mode
+        assert stat.S_IMODE(chart.stat().st_mode) == mode
 
     def test_creates_parent_dirs(self, tmp_path):
         path = write_rows(tmp_path / "deep" / "nest" / "f.csv", ["a"], [[1]])
@@ -148,6 +150,7 @@ class TestWriters:
             axes=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
             explained_variance=np.array([2.0, 1.0]),
             total_variance=3.0,
+            params=StandardizationParams(np.zeros(3), np.ones(3), frozenset()),
         )
         path = write_pca_loadings(tmp_path / "l.csv", model, ("A", "B", "C"))
         got = read_csv(path)
@@ -500,11 +503,8 @@ class TestCharts:
 
     def test_trajectory_chart(self):
         points = [(2010, 0.0, 0.0), (2011, 1.0, 0.5)]
-        svg = svgplot.trajectory_chart(
-            points, annotations=[("Software", 0.5, 0.5)]
-        )
+        svg = svgplot.trajectory_chart(points)
         assert ">2010</text>" in svg and ">2011</text>" in svg
-        assert ">Software</text>" in svg
         with pytest.raises(ValueError, match="nothing to plot"):
             svgplot.trajectory_chart([])
 
@@ -535,3 +535,16 @@ class TestCharts:
         svg = svgplot.bar_chart(["a"], [1.0])
         path = svgplot.save_svg(tmp_path / "chart.svg", svg)
         assert path.read_text(encoding="utf-8") == svg
+
+    def test_failed_svg_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        path = svgplot.save_svg(tmp_path / "chart.svg", svgplot.bar_chart(["a"], [1.0]))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reports.os, "replace", refuse)
+        with pytest.raises(OSError):
+            svgplot.save_svg(path, svgplot.bar_chart(["b"], [2.0]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.svg"]
+        assert path.read_bytes() == before

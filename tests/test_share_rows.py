@@ -110,14 +110,14 @@ def old_bin_edges(points, n_bins, lo_pct, hi_pct):
     return np.linspace(lo, hi, n_bins + 1)
 
 
-def old_heatmap_grid(profiles, model, n_x, n_y, percentile_range):
+def old_heatmap_grid(profiles, model, n_x, n_y):
     by_year = old_by_year([p for p in profiles if p.slot == 0])
     if not by_year:
         raise AnalysisError("no profiles to bin")
     everything = np.vstack([old_project(model, old_normalized(p))
                             for year_profiles in by_year.values() for p in year_profiles])
-    x_edges = old_bin_edges(everything[:, 0], n_x, *percentile_range)
-    y_edges = old_bin_edges(everything[:, 1], n_y, *percentile_range)
+    x_edges = old_bin_edges(everything[:, 0], n_x, 1.0, 99.0)
+    y_edges = old_bin_edges(everything[:, 1], n_y, 1.0, 99.0)
     counts = {year: old_heatmap_slice(year_profiles, model, x_edges, y_edges)
               for year, year_profiles in by_year.items()}
     return HeatmapGrid(x_edges=x_edges, y_edges=y_edges, counts=counts)
@@ -237,18 +237,16 @@ def test_barycenters_and_spread_match_per_profile_loops(drawn):
 
 
 @settings(deadline=None, max_examples=200)
-@given(profile_tables(), st.integers(1, 8), st.integers(1, 8),
-       st.sampled_from(((1.0, 99.0), (0.0, 100.0), (10.0, 90.0))))
-def test_heatmaps_match_per_profile_projections(drawn, n_x, n_y, percentile_range):
+@given(profile_tables(), st.integers(1, 8), st.integers(1, 8))
+def test_heatmaps_match_per_profile_projections(drawn, n_x, n_y):
     _, profiles = drawn
     active = profiles.take(profiles.rounds.sum(axis=1) > 0)
     model = outcome(fit_on_profiles, active, 2)
     if isinstance(model, tuple):  # fewer than 2 profiles to fit on
         assert len(active) < 2
         return
-    grid = outcome(heatmap_grid, profiles, model, n_x, n_y, percentile_range)
-    assert_identical(grid, outcome(old_heatmap_grid, rows(profiles), model, n_x, n_y,
-                                   percentile_range))
+    grid = outcome(heatmap_grid, profiles, model, n_x, n_y)
+    assert_identical(grid, outcome(old_heatmap_grid, rows(profiles), model, n_x, n_y))
     if isinstance(grid, HeatmapGrid):
         for year_profiles in profiles_by_year(profiles).values():
             edges = (grid.x_edges, grid.y_edges)
