@@ -121,11 +121,13 @@ def write_tca_factors(path, model: CPModel) -> Path:
 
 def write_tca_diagnostics(path, diagnostics: FitDiagnostics) -> Path:
     rows = [
-        [rank, restart, error, diagnostics.similarity[rank]]
+        [rank, restart, error, sweeps, diagnostics.similarity[rank]]
         for rank in diagnostics.ranks
-        for restart, error in enumerate(diagnostics.restart_errors[rank].tolist())
+        for restart, (error, sweeps) in enumerate(zip(
+            diagnostics.restart_errors[rank].tolist(),
+            diagnostics.restart_sweeps[rank].tolist()))
     ]
-    return write_rows(path, ["R", "restart", "error", "similarity"], rows)
+    return write_rows(path, ["R", "restart", "error", "sweeps", "similarity"], rows)
 
 
 def write_top_investors(path, tables: dict[int, list]) -> Path:

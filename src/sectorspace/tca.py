@@ -15,6 +15,7 @@ equal fits compare equal.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,20 +130,31 @@ def _unfold(values: np.ndarray, mode: int) -> np.ndarray:
 
 def _solve_factor(unfolding: np.ndarray, kr: np.ndarray, gram: np.ndarray,
                   warned: list[bool]) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares update for one factor; returns (factor, cross term M)."""
+    """Least-squares update for one factor; returns (factor, cross term M).
+
+    Solves ``factor @ gram = M`` through the Cholesky factor ``gram = U'U``
+    as ``factor = M U^-1 U^-T``. Only the R x R factorization and inverse
+    run in scipy's LAPACK; the products with the N x R ``M`` stay in
+    numpy, because scipy ships its own BLAS whose threads, woken by a
+    triangular solve with N right-hand sides, contend with numpy's. A
+    Gram the factorization rejects gets a ridge of ``RIDGE_EPS``, logged
+    once per fit (``warned``); should that fail too, an LU solve of the
+    ridged Gram takes over.
+    """
+    from scipy.linalg.lapack import dpotrf, dtrtri  # slow import, needed only here
+
     m = unfolding @ kr
-    if not np.isfinite(m).all() or not np.isfinite(gram).all():
-        raise AnalysisError("non-finite values in ALS subproblem")
-    if np.linalg.cond(gram) > 1e12:
+    u, info = dpotrf(gram)
+    if info != 0:
         if not warned[0]:
             logger.warning("rank-deficient ALS subproblem; applying ridge %.0e", RIDGE_EPS)
             warned[0] = True
         gram = gram + RIDGE_EPS * np.eye(gram.shape[0])
-    try:
-        factor = np.linalg.solve(gram, m.T).T
-    except np.linalg.LinAlgError:
-        factor = np.linalg.solve(gram + RIDGE_EPS * np.eye(gram.shape[0]), m.T).T
-    return factor, m
+        u, info = dpotrf(gram)
+        if info != 0:
+            return np.linalg.solve(gram, m.T).T, m
+    u_inv, _ = dtrtri(u)
+    return (m @ u_inv) @ u_inv.T, m
 
 
 def canonicalize(a: np.ndarray, b: np.ndarray, c: np.ndarray
@@ -172,8 +184,10 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     Factors start i.i.d. uniform on [-1, 1] from the seeded generator, so a
     fixed seed reproduces the model bit for bit. Iteration stops when the
     relative change of the squared reconstruction error drops below ``tol``
-    or after ``max_iter`` sweeps. Near-singular normal equations get a
-    ridge of ``1e-10`` (with a warning); non-finite values abort.
+    or after ``max_iter`` sweeps. Each factor update is a Cholesky solve of
+    its normal equations; a Gram whose factorization fails gets a ridge of
+    ``1e-10`` (with one warning per fit). A tensor holding non-finite values
+    aborts before the first sweep, and a non-finite error aborts the fit.
     """
     values = tensor.values if isinstance(tensor, StrategyTensor) else np.asarray(tensor, float)
     n, s, k = values.shape
@@ -182,6 +196,8 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise AnalysisError("tol must be positive")
 
+    if not np.isfinite(values).all():
+        raise AnalysisError("tensor holds non-finite values")
     norm_sq = float(np.sum(values * values))
     if norm_sq == 0.0:
         raise AnalysisError("cannot decompose an all-zero tensor")
@@ -197,23 +213,30 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     warned = [False]
     errors = []
     prev_err_sq = None
+    tiny = np.finfo(float).tiny
+    # each Gram is formed once, right after its factor changes
+    btb, ctc = b.T @ b, c.T @ c
     for _ in range(max_iter):
-        a, _ = _solve_factor(unfold_0, khatri_rao(b, c), (b.T @ b) * (c.T @ c), warned)
-        b, _ = _solve_factor(unfold_1, khatri_rao(a, c), (a.T @ a) * (c.T @ c), warned)
-        c, m_c = _solve_factor(unfold_2, khatri_rao(a, b), (a.T @ a) * (b.T @ b), warned)
+        a, _ = _solve_factor(unfold_0, khatri_rao(b, c), btb * ctc, warned)
+        ata = a.T @ a
+        b, _ = _solve_factor(unfold_1, khatri_rao(a, c), ata * ctc, warned)
+        btb = b.T @ b
+        c, m_c = _solve_factor(unfold_2, khatri_rao(a, b), ata * btb, warned)
+        ctc = c.T @ c
 
         # exact squared residual from Gram identities, no dense reconstruction
-        fit_sq = float(np.sum((a.T @ a) * (b.T @ b) * (c.T @ c)))
+        fit_sq = float(np.sum(ata * btb * ctc))
         cross = float(np.sum(c * m_c))
-        err_sq = max(norm_sq - 2.0 * cross + fit_sq, 0.0)
-        errors.append(np.sqrt(err_sq / norm_sq))
+        err_sq = norm_sq - 2.0 * cross + fit_sq
+        if not math.isfinite(err_sq):
+            raise AnalysisError("ALS produced a non-finite error")
+        err_sq = max(err_sq, 0.0)
+        errors.append(math.sqrt(err_sq / norm_sq))
         if prev_err_sq is not None:
-            if abs(prev_err_sq - err_sq) < tol * max(prev_err_sq, np.finfo(float).tiny):
+            if abs(prev_err_sq - err_sq) < tol * max(prev_err_sq, tiny):
                 break
         prev_err_sq = err_sq
 
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        raise AnalysisError("ALS produced non-finite factors")
     a, b, c, weights = canonicalize(a, b, c)
     meta = tensor if isinstance(tensor, StrategyTensor) else None
     return CPModel(
@@ -290,6 +313,7 @@ class FitDiagnostics:
 
     ranks: tuple[int, ...]
     restart_errors: dict[int, np.ndarray]
+    restart_sweeps: dict[int, np.ndarray]
     best_error: dict[int, float]
     similarity: dict[int, float]
     chosen_rank: int
@@ -335,13 +359,14 @@ def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
               similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD) -> FitDiagnostics:
     """Scan candidate ranks with multi-restart ALS and pick the working rank.
 
-    For each rank the scan keeps the best-restart reconstruction error and
-    the cross-restart model similarity. The chosen rank maximizes the
-    error drop |err(R) - err(R-1)| achieved by stepping up to R (the first
-    scanned rank is credited with its drop from the empty model, whose
-    relative error is 1), among ranks whose similarity stays at or above
-    the threshold: past the true rank the marginal gain collapses while
-    restart agreement degrades.
+    For each rank the scan keeps every restart's final error (the last
+    entry of the fit's Gram-identity error history) and sweep count, the
+    best-restart model and the cross-restart model similarity. The chosen
+    rank maximizes the error drop |err(R) - err(R-1)| achieved by stepping
+    up to R (the first scanned rank is credited with its drop from the
+    empty model, whose relative error is 1), among ranks whose similarity
+    stays at or above the threshold: past the true rank the marginal gain
+    collapses while restart agreement degrades.
     """
     ranks = tuple(sorted(ranks))
     if not ranks:
@@ -350,6 +375,7 @@ def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
         raise AnalysisError("rank scan needs at least 2 restarts")
 
     restart_errors: dict[int, np.ndarray] = {}
+    restart_sweeps: dict[int, np.ndarray] = {}
     best_error: dict[int, float] = {}
     similarity: dict[int, float] = {}
     best_models: dict[int, CPModel] = {}
@@ -358,9 +384,10 @@ def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
             cp_als(tensor, rank, seed=_restart_seed(seed, rank, j), tol=tol, max_iter=max_iter)
             for j in range(restarts)
         ]
-        errors = np.array([reconstruction_error(m, tensor) for m in models])
+        errors = np.array([m.error_history[-1] for m in models])
         best = int(np.argmin(errors))
         restart_errors[rank] = errors
+        restart_sweeps[rank] = np.array([len(m.error_history) for m in models])
         best_error[rank] = float(errors[best])
         best_models[rank] = models[best]
         similarity[rank] = model_similarity(models)
@@ -369,6 +396,7 @@ def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
     return FitDiagnostics(
         ranks=ranks,
         restart_errors=restart_errors,
+        restart_sweeps=restart_sweeps,
         best_error=best_error,
         similarity=similarity,
         chosen_rank=chosen,

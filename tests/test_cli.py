@@ -260,6 +260,8 @@ class TestTca:
             rows = list(csv.reader(handle))
         # 5 ranks x 8 default restarts
         assert len(rows) == 1 + 40
+        assert rows[0] == ["R", "restart", "error", "sweeps", "similarity"]
+        assert all(1 <= int(row[3]) <= tca.DEFAULT_MAX_ITER for row in rows[1:])
 
     def test_infeasible_r_range(self, smoke_dir, tmp_path, capsys):
         code = cli.main(["tca", *table_flags(smoke_dir),
@@ -518,3 +520,13 @@ class TestEntryPoint:
         # argparse exits 0 on --help before main's return path
         assert proc.returncode == 0
         assert "usage: sectorspace" in proc.stdout
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        """scipy.linalg costs about as much again as the rest of the import;
+        tca loads it on the first ALS solve, not when the package loads."""
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys, sectorspace.cli; "
+                               "print('scipy.linalg' in sys.modules)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

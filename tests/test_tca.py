@@ -8,8 +8,12 @@ from sectorspace.errors import AnalysisError
 from sectorspace.profiles import ProfileTable
 from sectorspace.synth import generate_cp_tensor
 from sectorspace.tca import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    RIDGE_EPS,
     CPModel,
     _restart_seed,
+    _solve_factor,
     build_tensor,
     canonicalize,
     cp_als,
@@ -122,6 +126,37 @@ def test_khatri_rao_columns():
         np.testing.assert_allclose(kr[:, r], np.kron(x[:, r], y[:, r]), atol=1e-15)
 
 
+def reference_error_history(tensor, rank, seed, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Error history of CP-ALS whose factor updates check the Gram's condition
+    number (ridge above 1e12) and LU-solve, with every Gram recomputed where
+    it is used: the update ``cp_als``'s Cholesky solves stand in for."""
+    norm_sq = float(np.sum(tensor * tensor))
+    unfold = [np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1) for mode in range(3)]
+    rng = np.random.default_rng(seed)
+    a, b, c = (rng.uniform(-1.0, 1.0, size=(size, rank)) for size in tensor.shape)
+
+    def update(unfolding, kr, gram):
+        m = unfolding @ kr
+        if np.linalg.cond(gram) > 1e12:
+            gram = gram + RIDGE_EPS * np.eye(rank)
+        return np.linalg.solve(gram, m.T).T, m
+
+    errors = []
+    prev_err_sq = None
+    for _ in range(max_iter):
+        a, _ = update(unfold[0], khatri_rao(b, c), (b.T @ b) * (c.T @ c))
+        b, _ = update(unfold[1], khatri_rao(a, c), (a.T @ a) * (c.T @ c))
+        c, m_c = update(unfold[2], khatri_rao(a, b), (a.T @ a) * (b.T @ b))
+        fit_sq = float(np.sum((a.T @ a) * (b.T @ b) * (c.T @ c)))
+        err_sq = max(norm_sq - 2.0 * float(np.sum(c * m_c)) + fit_sq, 0.0)
+        errors.append(np.sqrt(err_sq / norm_sq))
+        if prev_err_sq is not None and (abs(prev_err_sq - err_sq)
+                                        < tol * max(prev_err_sq, np.finfo(float).tiny)):
+            break
+        prev_err_sq = err_sq
+    return np.array(errors)
+
+
 class TestCPALS:
     def test_exact_rank_one_recovery(self):
         tensor, truth = generate_cp_tensor(12, 6, 5, 1, noise=0.0, seed=42)
@@ -175,6 +210,44 @@ class TestCPALS:
             cp_als(tensor, 1, seed=0, tol=0.0)
         with pytest.raises(AnalysisError, match="all-zero"):
             cp_als(np.zeros((4, 3, 2)), 1, seed=0)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_update(self, seed, rank):
+        tensor, _ = generate_cp_tensor(20, 8, 6, 3, noise=0.05, seed=seed)
+        expected = reference_error_history(tensor, rank, seed)
+        # a capped fit stops in a swamp, where last-bit differences can move
+        # the stopping sweep; only fits that converge are an oracle
+        assert len(expected) < DEFAULT_MAX_ITER
+        got = cp_als(tensor, rank, seed=seed).error_history
+        assert len(got) == len(expected)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_aborts_before_first_sweep(self, bad, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("an ALS sweep started")
+
+        tensor, _ = generate_cp_tensor(8, 4, 3, 1, seed=47)
+        tensor[2, 1, 0] = bad
+        monkeypatch.setattr("sectorspace.tca._solve_factor", no_sweep)
+        with pytest.raises(AnalysisError, match="non-finite"):
+            cp_als(tensor, 1, seed=0)
+
+    def test_singular_gram_gets_ridge_with_one_warning_per_fit(self, caplog):
+        rng = np.random.default_rng(62)
+        unfolding, kr = rng.standard_normal((4, 6)), rng.standard_normal((6, 2))
+        singular = np.ones((2, 2))
+        warned = [False]
+        with caplog.at_level("WARNING", logger="sectorspace.tca"):
+            solutions = [_solve_factor(unfolding, kr, singular, warned) for _ in range(3)]
+        warnings = [r for r in caplog.records
+                    if "rank-deficient ALS subproblem" in r.getMessage()]
+        assert len(warnings) == 1
+        ridged = singular + RIDGE_EPS * np.eye(2)
+        for factor, m in solutions:
+            assert np.isfinite(factor).all()
+            np.testing.assert_allclose(factor @ ridged, m, atol=1e-4)
 
     def test_cp_scaling_indeterminacy(self):
         tensor, _ = generate_cp_tensor(10, 5, 4, 2, noise=0.0, seed=48)
@@ -297,9 +370,14 @@ class TestSelectRank:
 
 
 @pytest.fixture(scope="module")
-def planted_scan():
+def planted_tensor():
     tensor, _ = generate_cp_tensor(40, 8, 6, 2, noise=0.02, seed=0)
-    return rank_scan(tensor, range(1, 6), restarts=4, seed=0,
+    return tensor
+
+
+@pytest.fixture(scope="module")
+def planted_scan(planted_tensor):
+    return rank_scan(planted_tensor, range(1, 6), restarts=4, seed=0,
                      tol=1e-7, max_iter=2000)
 
 
@@ -322,9 +400,19 @@ class TestRankScan:
         assert planted_scan.ranks == (1, 2, 3, 4, 5)
         for r in planted_scan.ranks:
             assert planted_scan.restart_errors[r].shape == (4,)
+            sweeps = planted_scan.restart_sweeps[r]
+            assert sweeps.shape == (4,)
+            assert ((sweeps >= 1) & (sweeps <= 2000)).all()
+            best = int(np.argmin(planted_scan.restart_errors[r]))
+            assert sweeps[best] == len(planted_scan.best_models[r].error_history)
             assert planted_scan.best_models[r].rank == r
             assert planted_scan.best_error[r] == pytest.approx(
                 planted_scan.restart_errors[r].min())
+
+    def test_best_error_matches_dense_reconstruction(self, planted_scan, planted_tensor):
+        for r in planted_scan.ranks:
+            dense = reconstruction_error(planted_scan.best_models[r], planted_tensor)
+            assert planted_scan.best_error[r] == pytest.approx(dense, abs=1e-10)
 
     def test_parameter_validation(self):
         tensor, _ = generate_cp_tensor(8, 4, 3, 1, seed=56)
