@@ -68,7 +68,6 @@ class PlantedTruth:
             sector_factors=b,
             temporal_factors=c,
             component_weights=self.cp_weights,
-            seed=self.seed,
         )
 
     def to_json(self) -> dict:

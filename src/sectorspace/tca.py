@@ -26,7 +26,7 @@ import numpy.random  # noqa: F401
 
 from .errors import AnalysisError
 from .ingest import RawInvestor
-from .pca import StandardizationParams, standardize
+from .pca import standardize
 from .profiles import ProfileTable
 
 logger = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ class StrategyTensor:
     investor_ids: tuple[str, ...]
     sectors: tuple[str, ...]
     years: tuple[int, ...]
-    standardization: tuple[StandardizationParams, ...]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -80,17 +79,13 @@ def build_tensor(profiles: ProfileTable, years, sectors) -> StrategyTensor:
     values = np.zeros((len(investor_ids), len(sector_names), len(years)))
     np.add.at(values, (i[kept, None], col, k[kept, None]), profiles.rounds[kept][:, src])
 
-    params = []
     for k in range(len(years)):
-        standardized, p_k = standardize(values[:, :, k])
-        values[:, :, k] = standardized
-        params.append(p_k)
+        values[:, :, k] = standardize(values[:, :, k])[0]
     return StrategyTensor(
         values=values,
         investor_ids=tuple(investor_ids.tolist()),
         sectors=sector_names,
         years=years,
-        standardization=tuple(params),
     )
 
 
@@ -103,7 +98,6 @@ class CPModel:
     sector_factors: np.ndarray
     temporal_factors: np.ndarray
     component_weights: np.ndarray
-    seed: int
     investor_ids: tuple[str, ...] = ()
     sectors: tuple[str, ...] = ()
     years: tuple[int, ...] = ()
@@ -124,37 +118,25 @@ def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] * y[None, :, :]).reshape(-1, r)
 
 
-def _unfold(values: np.ndarray, mode: int) -> np.ndarray:
-    return np.moveaxis(values, mode, 0).reshape(values.shape[mode], -1)
+def _solve_factor(m: np.ndarray, gram: np.ndarray, warned: list[bool]) -> np.ndarray:
+    """Least-squares update ``factor @ gram = m`` for one factor.
 
-
-def _solve_factor(unfolding: np.ndarray, kr: np.ndarray, gram: np.ndarray,
-                  warned: list[bool]) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares update for one factor; returns (factor, cross term M).
-
-    Solves ``factor @ gram = M`` through the Cholesky factor ``gram = U'U``
-    as ``factor = M U^-1 U^-T``. Only the R x R factorization and inverse
-    run in scipy's LAPACK; the products with the N x R ``M`` stay in
-    numpy, because scipy ships its own BLAS whose threads, woken by a
-    triangular solve with N right-hand sides, contend with numpy's. A
-    Gram the factorization rejects gets a ridge of ``RIDGE_EPS``, logged
-    once per fit (``warned``); should that fail too, an LU solve of the
-    ridged Gram takes over.
+    The N x R right-hand side ``m`` is multiplied by the inverse of the
+    R x R Gram. A Gram that LU finds singular gets a ridge of
+    ``RIDGE_EPS``, logged once per fit (``warned``); one that stays
+    singular after the ridge raises ``AnalysisError``.
     """
-    from scipy.linalg.lapack import dpotrf, dtrtri  # slow import, needed only here
-
-    m = unfolding @ kr
-    u, info = dpotrf(gram)
-    if info != 0:
-        if not warned[0]:
-            logger.warning("rank-deficient ALS subproblem; applying ridge %.0e", RIDGE_EPS)
-            warned[0] = True
-        gram = gram + RIDGE_EPS * np.eye(gram.shape[0])
-        u, info = dpotrf(gram)
-        if info != 0:
-            return np.linalg.solve(gram, m.T).T, m
-    u_inv, _ = dtrtri(u)
-    return (m @ u_inv) @ u_inv.T, m
+    try:
+        return m @ np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        pass
+    if not warned[0]:
+        logger.warning("rank-deficient ALS subproblem; applying ridge %.0e", RIDGE_EPS)
+        warned[0] = True
+    try:
+        return m @ np.linalg.inv(gram + RIDGE_EPS * np.eye(gram.shape[0]))
+    except np.linalg.LinAlgError:
+        raise AnalysisError("ALS subproblem stays singular after the ridge") from None
 
 
 def canonicalize(a: np.ndarray, b: np.ndarray, c: np.ndarray
@@ -184,10 +166,13 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     Factors start i.i.d. uniform on [-1, 1] from the seeded generator, so a
     fixed seed reproduces the model bit for bit. Iteration stops when the
     relative change of the squared reconstruction error drops below ``tol``
-    or after ``max_iter`` sweeps. Each factor update is a Cholesky solve of
-    its normal equations; a Gram whose factorization fails gets a ridge of
-    ``1e-10`` (with one warning per fit). A tensor holding non-finite values
-    aborts before the first sweep, and a non-finite error aborts the fit.
+    or after ``max_iter`` sweeps. Each factor update multiplies its MTTKRP
+    by the inverse of its R x R Gram; a Gram that LU finds singular gets a
+    ridge of ``1e-10`` (with one warning per fit). The sector and temporal
+    MTTKRPs share one contraction of the tensor with the new investor
+    factor (a dimension tree; Phan, Tichavsky & Cichocki 2013). A tensor
+    holding non-finite values aborts before the first sweep, and a
+    non-finite error aborts the fit.
     """
     values = tensor.values if isinstance(tensor, StrategyTensor) else np.asarray(tensor, float)
     n, s, k = values.shape
@@ -201,9 +186,7 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     norm_sq = float(np.sum(values * values))
     if norm_sq == 0.0:
         raise AnalysisError("cannot decompose an all-zero tensor")
-    unfold_0 = _unfold(values, 0)
-    unfold_1 = _unfold(values, 1)
-    unfold_2 = _unfold(values, 2)
+    unfold_0 = values.reshape(n, s * k)
 
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, rank))
@@ -217,11 +200,14 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     # each Gram is formed once, right after its factor changes
     btb, ctc = b.T @ b, c.T @ c
     for _ in range(max_iter):
-        a, _ = _solve_factor(unfold_0, khatri_rao(b, c), btb * ctc, warned)
+        a = _solve_factor(unfold_0 @ khatri_rao(b, c), btb * ctc, warned)
         ata = a.T @ a
-        b, _ = _solve_factor(unfold_1, khatri_rao(a, c), ata * ctc, warned)
+        # the tensor contracted with the new a, shared by both remaining MTTKRPs
+        p = (a.T @ unfold_0).reshape(rank, s, k)
+        b = _solve_factor((p @ c.T[:, :, None])[..., 0].T, ata * ctc, warned)
         btb = b.T @ b
-        c, m_c = _solve_factor(unfold_2, khatri_rao(a, b), ata * btb, warned)
+        m_c = (b.T[:, None, :] @ p)[:, 0, :].T
+        c = _solve_factor(m_c, ata * btb, warned)
         ctc = c.T @ c
 
         # exact squared residual from Gram identities, no dense reconstruction
@@ -245,7 +231,6 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
         sector_factors=b,
         temporal_factors=c,
         component_weights=weights,
-        seed=seed,
         investor_ids=meta.investor_ids if meta else (),
         sectors=meta.sectors if meta else (),
         years=meta.years if meta else (),
@@ -275,6 +260,54 @@ def _weight_agreement(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return np.where(biggest > 0, agreement, 1.0)
 
 
+def _max_assignment(score: np.ndarray) -> list[int]:
+    """Column paired with each row in a maximum-sum matching of a square matrix.
+
+    Kuhn-Munkres in its shortest-augmenting-path form with dual potentials
+    (Jonker & Volgenant 1987), O(R^3): each row in turn joins the matching
+    along the cheapest path of reduced negated scores. Rows and columns
+    count from 1 in the lists; column 0 is a virtual one that holds the row
+    being added.
+    """
+    cost = (-score).tolist()
+    size = len(cost)
+    u = [0.0] * (size + 1)
+    v = [0.0] * (size + 1)
+    row_of = [0] * (size + 1)  # 1-based row matched to each column, 0 for none
+    via = [0] * (size + 1)  # previous column on the shortest path
+    for row in range(1, size + 1):
+        row_of[0] = row
+        col = 0
+        dist = [math.inf] * (size + 1)
+        done = [False] * (size + 1)
+        while row_of[col]:
+            done[col] = True
+            i = row_of[col]
+            costs = cost[i - 1]
+            delta, nearest = math.inf, 0
+            for j in range(1, size + 1):
+                if not done[j]:
+                    reduced = costs[j - 1] - u[i] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], via[j] = reduced, col
+                    if dist[j] < delta:
+                        delta, nearest = dist[j], j
+            for j in range(size + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            col = nearest
+        while col:
+            row_of[col] = row_of[via[col]]
+            col = via[col]
+    cols = [0] * size
+    for j in range(1, size + 1):
+        cols[row_of[j] - 1] = j - 1
+    return cols
+
+
 def factor_match_score(model_a: CPModel, model_b: CPModel) -> float:
     """Permutation- and sign-invariant similarity of two equal-rank models.
 
@@ -289,10 +322,9 @@ def factor_match_score(model_a: CPModel, model_b: CPModel) -> float:
         if f1.shape[0] != f2.shape[0]:
             raise AnalysisError("factor match needs models of equal shape")
         score = score * np.abs(f1.T @ f2)
-    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
-
-    rows, cols = linear_sum_assignment(-score)
-    return float(score[rows, cols].mean())
+    if not np.isfinite(score).all():
+        raise AnalysisError("factor match needs finite factors")
+    return float(score[np.arange(model_a.rank), _max_assignment(score)].mean())
 
 
 def model_similarity(models: list[CPModel]) -> float:
@@ -318,7 +350,6 @@ class FitDiagnostics:
     similarity: dict[int, float]
     chosen_rank: int
     best_models: dict[int, CPModel]
-    similarity_threshold: float
 
 
 def _restart_seed(seed: int, rank: int, restart: int) -> int:
@@ -401,7 +432,6 @@ def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
         similarity=similarity,
         chosen_rank=chosen,
         best_models=best_models,
-        similarity_threshold=similarity_threshold,
     )
 
 

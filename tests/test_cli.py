@@ -521,12 +521,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "usage: sectorspace" in proc.stdout
 
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        """scipy.linalg costs about as much again as the rest of the import;
-        tca loads it on the first ALS solve, not when the package loads."""
+    def test_all_runs_with_scipy_blocked(self, smoke_dir, tmp_path):
+        """The package needs numpy alone: ``all`` runs while every scipy import fails."""
+        argv = ["all", *table_flags(smoke_dir), *SMOKE_FLAGS, "--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-c",
-                               "import sys, sectorspace.cli; "
-                               "print('scipy.linalg' in sys.modules)"],
+                               "import sys; sys.modules['scipy'] = None; "
+                               "from sectorspace import cli; "
+                               f"sys.exit(cli.main({argv!r}))"],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"

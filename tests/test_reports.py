@@ -185,7 +185,6 @@ class TestWriters:
             sector_factors=np.array([[0.5, 0.5], [0.5, -0.5]]),
             temporal_factors=np.array([[0.25, 0.75], [0.75, 0.25]]),
             component_weights=np.array([2.0, 1.0]),
-            seed=0,
             investor_ids=("i1", "i2"),
             sectors=("sA", "sB"),
             years=(2010, 2011),
@@ -205,7 +204,6 @@ class TestWriters:
             sector_factors=np.array([[1.0]]),
             temporal_factors=np.array([[1.0]]),
             component_weights=np.array([1.0]),
-            seed=0,
         )
         got = read_csv(write_tca_factors(tmp_path / "f.csv", model))
         assert [row[2] for row in got[1:3]] == ["0", "1"]
@@ -219,7 +217,6 @@ class TestWriters:
             similarity={1: 0.9, 2: 0.8},
             chosen_rank=2,
             best_models={},
-            similarity_threshold=0.8,
         )
         got = read_csv(write_tca_diagnostics(tmp_path / "d.csv", diagnostics))
         assert got[0] == ["R", "restart", "error", "sweeps", "similarity"]
@@ -378,7 +375,6 @@ class TestCellOracle:
             sector_factors=float_array(data, (shape[1], rank)),
             temporal_factors=float_array(data, (shape[2], rank)),
             component_weights=np.ones(rank),
-            seed=0,
             investor_ids=tuple(f"i,{i}" for i in range(shape[0])) if labelled else (),
             sectors=tuple(f'"s{j}"' for j in range(shape[1])) if labelled else (),
             years=tuple(range(2010, 2010 + shape[2])) if labelled else (),

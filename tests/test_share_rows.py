@@ -157,13 +157,10 @@ def old_build_tensor(profiles, years, sectors):
             j = col.get(tag)
             if j is not None:
                 values[i, j, k] += count
-    params = []
     for k in range(len(years)):
-        standardized, p_k = standardize(values[:, :, k])
-        values[:, :, k] = standardized
-        params.append(p_k)
+        values[:, :, k] = standardize(values[:, :, k])[0]
     return StrategyTensor(values=values, investor_ids=investor_ids, sectors=sector_names,
-                          years=years, standardization=tuple(params))
+                          years=years)
 
 
 # --- helpers -----------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tensor assembly, CP-ALS fitting, similarity and rank selection."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from sectorspace.tca import (
     DEFAULT_TOL,
     RIDGE_EPS,
     CPModel,
+    _max_assignment,
     _restart_seed,
     _solve_factor,
     build_tensor,
@@ -45,7 +49,6 @@ def random_model(seed, n=50, s=10, k=8, rank=2):
         sector_factors=random_unit_columns(rng, s, rank),
         temporal_factors=random_unit_columns(rng, k, rank),
         component_weights=np.sort(rng.random(rank) + 0.5)[::-1],
-        seed=seed,
     )
 
 
@@ -74,12 +77,14 @@ class TestBuildTensor:
                           sectors=("A", "B"), investor_ids=["i1", "i2"])
         ])
         tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
+        # the raw 2010 column A is constant, so its slab column is all zero
         np.testing.assert_array_equal(tensor.values[:, 0, 0], 0.0)
-        assert 0 in tensor.standardization[0].constant_columns
+        assert tensor.values[:, 1, 0].std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(tensor.values[:, :, 1].std(axis=0, ddof=1), 1.0, atol=1e-12)
 
     def test_slice_standardization_against_two_pass_oracle(self):
         rng = np.random.default_rng(40)
-        tables = []
+        tables, raw = [], []
         for year in (2008, 2009, 2010):
             counts = rng.integers(0, 5, size=(15, 4)).astype(float)
             counts[counts.sum(axis=1) == 0, 0] = 1
@@ -87,15 +92,15 @@ class TestBuildTensor:
             tables.append(make_profiles(shares, year=year,
                                         weights=counts.sum(axis=1),
                                         investor_ids=[f"i{j:02d}" for j in range(15)]))
+            raw.append(tables[-1].rounds)
         tensor = build_tensor(ProfileTable.concat(tables), range(2008, 2011),
                               tuple(f"S{j:02d}" for j in range(4)))
         for k in range(3):
             slab = tensor.values[:, :, k]
             np.testing.assert_allclose(slab.mean(axis=0), 0.0, atol=1e-9)
-            stds = slab.std(axis=0, ddof=1)
-            for j, std in enumerate(stds):
-                if j not in tensor.standardization[k].constant_columns:
-                    assert std == pytest.approx(1.0, abs=1e-9)
+            constant = np.ptp(raw[k], axis=0) == 0
+            np.testing.assert_array_equal(slab[:, constant], 0.0)
+            np.testing.assert_allclose(slab[:, ~constant].std(axis=0, ddof=1), 1.0, atol=1e-9)
 
     def test_inactive_investor_year_contributes_zero_row(self):
         profiles = ProfileTable.concat([
@@ -129,7 +134,9 @@ def test_khatri_rao_columns():
 def reference_error_history(tensor, rank, seed, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Error history of CP-ALS whose factor updates check the Gram's condition
     number (ridge above 1e12) and LU-solve, with every Gram recomputed where
-    it is used: the update ``cp_als``'s Cholesky solves stand in for."""
+    it is used, and each update's MTTKRP takes its own Khatri-Rao product:
+    the update that ``cp_als``'s Gram inverses and shared contraction stand
+    in for."""
     norm_sq = float(np.sum(tensor * tensor))
     unfold = [np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1) for mode in range(3)]
     rng = np.random.default_rng(seed)
@@ -234,20 +241,29 @@ class TestCPALS:
         with pytest.raises(AnalysisError, match="non-finite"):
             cp_als(tensor, 1, seed=0)
 
+    @staticmethod
+    def ridge_warnings(caplog):
+        return [r for r in caplog.records if "rank-deficient ALS subproblem" in r.getMessage()]
+
     def test_singular_gram_gets_ridge_with_one_warning_per_fit(self, caplog):
         rng = np.random.default_rng(62)
-        unfolding, kr = rng.standard_normal((4, 6)), rng.standard_normal((6, 2))
+        m = rng.standard_normal((4, 6)) @ rng.standard_normal((6, 2))
         singular = np.ones((2, 2))
         warned = [False]
         with caplog.at_level("WARNING", logger="sectorspace.tca"):
-            solutions = [_solve_factor(unfolding, kr, singular, warned) for _ in range(3)]
-        warnings = [r for r in caplog.records
-                    if "rank-deficient ALS subproblem" in r.getMessage()]
-        assert len(warnings) == 1
+            solutions = [_solve_factor(m, singular, warned) for _ in range(3)]
+        assert len(self.ridge_warnings(caplog)) == 1
         ridged = singular + RIDGE_EPS * np.eye(2)
-        for factor, m in solutions:
+        for factor in solutions:
             assert np.isfinite(factor).all()
             np.testing.assert_allclose(factor @ ridged, m, atol=1e-4)
+
+    def test_gram_singular_after_ridge_raises(self, caplog):
+        # at 1e20 the ridge vanishes in rounding, so the Gram stays singular
+        with caplog.at_level("WARNING", logger="sectorspace.tca"):
+            with pytest.raises(AnalysisError, match="stays singular after the ridge"):
+                _solve_factor(np.ones((3, 2)), np.ones((2, 2)) * 1e20, [False])
+        assert len(self.ridge_warnings(caplog)) == 1
 
     def test_cp_scaling_indeterminacy(self):
         tensor, _ = generate_cp_tensor(10, 5, 4, 2, noise=0.0, seed=48)
@@ -263,6 +279,40 @@ class TestCPALS:
             np.testing.assert_allclose(got, base, atol=1e-12)
 
 
+class TestMaxAssignment:
+    @staticmethod
+    def scores(rng, size, tied):
+        score = rng.random((size, size))
+        # thirds make many equal entries, and so many optimal matchings
+        return np.round(score * 3) / 3 if tied else score
+
+    @staticmethod
+    def matched_sum(score, cols):
+        assert sorted(cols) == list(range(len(score)))
+        return float(score[np.arange(len(score)), cols].sum())
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_matches_brute_force(self, size):
+        rng = np.random.default_rng(70 + size)
+        perms = np.array(list(itertools.permutations(range(size))))
+        for trial in range(30):
+            score = self.scores(rng, size, tied=trial % 3 == 0)
+            best = score[np.arange(size), perms].sum(axis=1).max()
+            assert self.matched_sum(score, _max_assignment(score)) == pytest.approx(
+                best, rel=0, abs=1e-12)
+
+    def test_matches_scipy_optimum(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(78)
+        for size in (8, 12, 20, 30):
+            for trial in range(6):
+                score = self.scores(rng, size, tied=trial % 3 == 0)
+                rows, cols = linear_sum_assignment(score, maximize=True)
+                assert self.matched_sum(score, _max_assignment(score)) == pytest.approx(
+                    float(score[rows, cols].sum()), rel=0, abs=1e-12)
+
+
 class TestReconstructionError:
     def test_exact_model_scores_zero(self):
         tensor, truth = generate_cp_tensor(10, 5, 4, 2, noise=0.0, seed=49)
@@ -276,7 +326,6 @@ class TestReconstructionError:
             sector_factors=truth.cp_model().sector_factors,
             temporal_factors=truth.cp_model().temporal_factors,
             component_weights=np.zeros(2),
-            seed=0,
         )
         assert reconstruction_error(silent, tensor) == pytest.approx(1.0, abs=1e-12)
 
@@ -320,7 +369,6 @@ class TestSimilarity:
             sector_factors=model.sector_factors[:, perm] * flips,
             temporal_factors=model.temporal_factors[:, perm],
             component_weights=model.component_weights[perm],
-            seed=1,
         )
         assert factor_match_score(model, twin) == pytest.approx(1.0, abs=1e-12)
 
@@ -341,6 +389,12 @@ class TestSimilarity:
             factor_match_score(random_model(1, rank=2), random_model(2, rank=3))
         with pytest.raises(AnalysisError, match="at least 2"):
             model_similarity([random_model(3)])
+
+    def test_non_finite_factors_rejected(self):
+        model = random_model(4)
+        broken = dataclasses.replace(model, sector_factors=model.sector_factors * np.nan)
+        with pytest.raises(AnalysisError, match="finite factors"):
+            factor_match_score(model, broken)
 
 
 class TestSelectRank:
@@ -439,7 +493,6 @@ class TestTopInvestors:
             sector_factors=random_unit_columns(np.random.default_rng(57), 3, 2),
             temporal_factors=random_unit_columns(np.random.default_rng(58), 4, 2),
             component_weights=np.array([2.0, 1.0]),
-            seed=0,
             investor_ids=investor_ids,
             years=(2010, 2011, 2012, 2013),
         )
@@ -494,7 +547,6 @@ class TestEmergingComponent:
             sector_factors=random_unit_columns(np.random.default_rng(61), 3, 2),
             temporal_factors=temporal,
             component_weights=np.array([1.5, 1.0]),
-            seed=0,
             years=(2010, 2011, 2012, 2013),
         )
 
