@@ -15,8 +15,8 @@ import numpy as np
 
 import sectorspace as ss
 from sectorspace import metrics, synth, tca
-from sectorspace.profiles import (GroupSpec, ProfileOptions, ProfileTable, build_profiles,
-                                  stage_partition)
+from sectorspace.profiles import (GroupSpec, ProfileOptions, ProfileTable, SectorActivity,
+                                  build_profiles, stage_partition)
 
 
 def load(name: str, seed: int, root: Path):
@@ -24,12 +24,13 @@ def load(name: str, seed: int, root: Path):
     files, truth = synth.generate_ecosystem(config, root / name)
     dataset = ss.filter_startups(ss.load_dataset(
         files.startups, files.rounds, files.investors, files.ontology))
+    activity = SectorActivity.from_dataset(dataset)
     options = ProfileOptions(exclude_sectors=frozenset(), years=config.years)
-    return config, truth, dataset, build_profiles(dataset, options=options), options
+    return truth, dataset, activity, build_profiles(activity, options=options), options
 
 
 def study_convergence(seed: int, root: Path) -> None:
-    _, truth, dataset, profiles, _ = load("convergence", seed, root)
+    truth, dataset, _, profiles, _ = load("convergence", seed, root)
     series = metrics.distance_series(profiles, GroupSpec(investor_type="vc"),
                                      GroupSpec(investor_type="accelerator"),
                                      investors=dataset.investor_by_id)
@@ -38,9 +39,9 @@ def study_convergence(seed: int, root: Path) -> None:
 
 
 def study_stage_offsets(seed: int, root: Path) -> None:
-    _, _, dataset, profiles, options = load("stage_offsets", seed, root)
+    _, dataset, activity, profiles, options = load("stage_offsets", seed, root)
     profiles = ProfileTable.concat(
-        [profiles, *stage_partition(dataset, options=options).values()])
+        [profiles, *stage_partition(activity, options=options).values()])
     for stage in ss.StageClass:
         series = metrics.distance_series(
             profiles, GroupSpec(stage=stage),
@@ -51,7 +52,7 @@ def study_stage_offsets(seed: int, root: Path) -> None:
 
 
 def study_concentration(seed: int, root: Path) -> None:
-    _, truth, _, profiles, _ = load("concentration", seed, root)
+    truth, _, _, profiles, _ = load("concentration", seed, root)
     model = ss.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model)
     shares = {year: grid.max_cell_share(year) for year in sorted(grid.counts)}
@@ -64,9 +65,8 @@ def study_concentration(seed: int, root: Path) -> None:
 
 
 def study_emergence(seed: int, root: Path) -> None:
-    _, truth, dataset, profiles, _ = load("emergence", seed, root)
-    years = np.unique(profiles.years).tolist()
-    tensor = tca.build_tensor(profiles, years, dataset.ontology)
+    truth, dataset, _, profiles, _ = load("emergence", seed, root)
+    tensor = tca.build_tensor(profiles)
     # the restarts need not agree here: with the gate at 0 the scan returns the best one
     best = tca.rank_scan(tensor, [2], restarts=5, seed=seed,
                          similarity_threshold=0.0).best_models[2]

@@ -12,7 +12,6 @@ from .errors import (
     OntologyError,
     SchemaError,
     SectorSpaceError,
-    StageError,
 )
 from .ingest import (
     RawInvestor,

@@ -260,9 +260,7 @@ def _run_pca(config: PipelineConfig, dataset: ValidatedDataset,
 def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
             activity: SectorActivity) -> dict:
     options = replace(_options(config), exclude_sectors=frozenset())
-    profiles = build_profiles(activity, options=options)
-    years = sorted(set(profiles.years.tolist()))
-    tensor = tca.build_tensor(profiles, years, dataset.ontology)
+    tensor = tca.build_tensor(build_profiles(activity, options=options))
     feasible = [r for r in config.r_range if r <= min(tensor.values.shape[0],
                 tensor.values.shape[1] * tensor.values.shape[2])]
     if not feasible:
@@ -361,6 +359,9 @@ def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
 def _run_spread(config: PipelineConfig, dataset: ValidatedDataset,
                 activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
+    series = metrics.spread_series(profiles)
+    if not series:
+        raise SectorSpaceError("no year has two active investors to spread")
     model = pca.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model, *config.grid)
     reports.write_heatmaps(config.out, grid)
@@ -370,7 +371,6 @@ def _run_spread(config: PipelineConfig, dataset: ValidatedDataset,
             svgplot.heatmap_chart(grid.counts[year], grid.x_edges, grid.y_edges,
                                   title=f"Strategy density {year}"),
         )
-    series = metrics.spread_series(profiles)
     reports.write_spread(config.out / "spread.csv", series)
     svgplot.save_svg(
         config.out / "spread.svg",

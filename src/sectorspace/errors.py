@@ -17,9 +17,5 @@ class OntologyError(SectorSpaceError):
     """Malformed sector ontology or unknown parent tag."""
 
 
-class StageError(SectorSpaceError):
-    """A funding-stage label could not be classified in strict mode."""
-
-
 class AnalysisError(SectorSpaceError):
     """An analysis operation received inputs it cannot work with."""

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError, SchemaError, StageError
+from .errors import IntegrityError, SchemaError
 from .ontology import SectorOntology, default_ontology, dump_ontology, load_ontology
 
 __all__ = [
@@ -256,13 +256,12 @@ _SEPARATORS = re.compile(r"[\s_\-./]+")
 _SERIES = re.compile(r"^series ([a-z])$")
 
 
-def classify_stage(stage_label: str, strict: bool = False) -> StageClass | None:
+def classify_stage(stage_label: str) -> StageClass | None:
     """Classify a free-form stage label into one of the four stage buckets.
 
     Case and punctuation are normalized first, so "Series-A", "series_a"
     and "SERIES A" agree. Any single-letter series from C onward lands in
-    ``SERIES_C_PLUS``. Unknown labels raise in strict mode and are
-    otherwise unclassified (``None``).
+    ``SERIES_C_PLUS``. Unknown labels are unclassified (``None``).
     """
     norm = _SEPARATORS.sub(" ", stage_label.strip().lower()).strip()
     if norm == "seed":
@@ -275,8 +274,6 @@ def classify_stage(stage_label: str, strict: bool = False) -> StageClass | None:
         if letter == "b":
             return StageClass.SERIES_B
         return StageClass.SERIES_C_PLUS
-    if strict:
-        raise StageError(f"unknown stage label {stage_label!r}")
     return None
 
 

@@ -41,14 +41,12 @@ class ProfileOptions:
 
     ``exclude_sectors`` names parent tags dropped from the analysis: their
     dimensions disappear (P shrinks). Excluded names absent from the
-    ontology are ignored. ``strict_stage`` makes unclassifiable stage
-    labels an error instead of leaving the round stage-less.
+    ontology are ignored.
     """
 
     exclude_sectors: frozenset[str] = frozenset({"Health Care"})
     stage_filter: StageClass | None = None
     years: range = DEFAULT_YEARS
-    strict_stage: bool = False
 
     def effective_sectors(self, ontology: SectorOntology) -> tuple[str, ...]:
         return tuple(t for t in ontology.parent_tags if t not in self.exclude_sectors)
@@ -150,8 +148,7 @@ class SectorActivity:
     rounds of that stage, so rounds with an unclassifiable label appear in
     slot 0 alone. Sectors follow ``ontology.parent_tags``; investors are
     the ids that occur in the rounds, sorted; ``years`` are the distinct
-    round years, ascending. ``unclassified`` lists (year, stage label) of
-    each unclassifiable round, for strict-stage checks.
+    round years, ascending.
     """
 
     ontology: SectorOntology
@@ -159,7 +156,6 @@ class SectorActivity:
     years: np.ndarray
     rounds: np.ndarray
     amounts: np.ndarray
-    unclassified: tuple[tuple[int, str], ...]
 
     @classmethod
     def from_dataset(cls, dataset: ValidatedDataset) -> "SectorActivity":
@@ -187,12 +183,9 @@ class SectorActivity:
 
         label_slots = [STAGE_SLOTS.get(classify_stage(label), 0) for label in rounds.stage.values]
         slot = np.array(label_slots, dtype=np.intp)[rounds.stage.codes]
-        year = rounds.year
         amount = np.where(np.isnan(rounds.amount), 0.0, rounds.amount)
         investor_ids = rounds.investor_vocab
-        years, year_row = np.unique(year, return_inverse=True)
-        unclassified = tuple((int(year[i]), rounds.stage[i])
-                             for i in np.flatnonzero(slot == 0).tolist())
+        years, year_row = np.unique(rounds.year, return_inverse=True)
 
         k = n_parents[tag_row]
         sinks = np.flatnonzero(k == 0)
@@ -221,32 +214,21 @@ class SectorActivity:
         amount_w = np.bincount(cell, weights=amount[share_round] / k[share_round],
                                minlength=size)
         return cls(ontology, investor_ids, years, round_w.reshape(shape),
-                   amount_w.reshape(shape), unclassified)
+                   amount_w.reshape(shape))
 
 
-def _activity(source: ValidatedDataset | SectorActivity) -> SectorActivity:
-    if isinstance(source, SectorActivity):
-        return source
-    return SectorActivity.from_dataset(source)
-
-
-def build_profiles(dataset: ValidatedDataset | SectorActivity,
+def build_profiles(activity: SectorActivity,
                    options: ProfileOptions = ProfileOptions()) -> ProfileTable:
     """One row per (investor, year) with any activity, sorted by id then year.
 
-    ``dataset`` is a dataset, accumulated here, or a :class:`SectorActivity`
-    already accumulated from one, which is only sliced. Years outside
-    ``options.years`` are skipped, as are rounds whose stage does not match
+    The rows are sliced from ``activity``, accumulated once by
+    :meth:`SectorActivity.from_dataset`. Years outside ``options.years`` are
+    skipped, as are rounds whose stage does not match
     ``options.stage_filter`` (when set). Investor-year pairs with no
     surviving activity are simply absent.
     """
     if len(options.years) == 0:
         raise AnalysisError("empty years range")
-    activity = _activity(dataset)
-    if options.strict_stage:
-        for year, label in activity.unclassified:
-            if year in options.years:
-                classify_stage(label, strict=True)
     in_window = np.array([int(y) in options.years for y in activity.years], dtype=bool)
     slot = STAGE_SLOTS[options.stage_filter]
     sectors = options.effective_sectors(activity.ontology)
@@ -297,11 +279,10 @@ def share_matrix(profiles: ProfileTable) -> np.ndarray:
     return profiles.rounds / totals
 
 
-def stage_partition(dataset: ValidatedDataset | SectorActivity,
+def stage_partition(activity: SectorActivity,
                     options: ProfileOptions = ProfileOptions()
                     ) -> dict[StageClass, ProfileTable]:
     """Profiles of each stage bucket, sliced from one accumulation."""
-    activity = _activity(dataset)
     return {
         stage: build_profiles(activity, options=replace(options, stage_filter=stage))
         for stage in StageClass

@@ -97,14 +97,12 @@ class PlantedTruth:
 
 
 def generate_cp_tensor(n: int, s: int, k: int, rank: int, noise: float = 0.0,
-                       seed: int = 0, weights: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, PlantedTruth]:
+                       seed: int = 0) -> tuple[np.ndarray, PlantedTruth]:
     """Random rank-R tensor plus i.i.d. Gaussian noise, with its true factors.
 
-    Factor columns are unit-norm standard-normal draws; default weights
-    descend from 1 + R/4 down to 1, scaled by sqrt(N S K) so that each
-    component contributes O(1) per entry and ``noise`` reads as a
-    per-entry sigma.
+    Factor columns are unit-norm standard-normal draws; weights descend
+    from 1 + R/4 down to 1, scaled by sqrt(N S K) so that each component
+    contributes O(1) per entry and ``noise`` reads as a per-entry sigma.
     """
     if rank > min(n, s * k) or rank < 1:
         raise AnalysisError(f"rank must be in [1, {min(n, s * k)}]")
@@ -113,11 +111,7 @@ def generate_cp_tensor(n: int, s: int, k: int, rank: int, noise: float = 0.0,
     rng = np.random.default_rng(seed)
     factors = [rng.standard_normal((dim, rank)) for dim in (n, s, k)]
     factors = [f / np.linalg.norm(f, axis=0) for f in factors]
-    if weights is None:
-        weights = np.sqrt(n * s * k) * np.linspace(1.0 + 0.25 * (rank - 1), 1.0, rank)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (rank,):
-        raise AnalysisError(f"expected {rank} weights")
+    weights = np.sqrt(n * s * k) * np.linspace(1.0 + 0.25 * (rank - 1), 1.0, rank)
     a, b, c = factors
     tensor = np.einsum("ir,jr,kr,r->ijk", a, b, c, weights)
     if noise > 0:
@@ -209,8 +203,6 @@ class ScenarioConfig:
     archetypes: tuple[ArchetypeSpec, ...]
     drift: DriftSpec | None = None
     concentration: ConcentrationSpec | None = None
-    noise: float = 0.0
-    rounds_per_startup: int = 1
     seed: int = 0
 
     @property
@@ -233,14 +225,10 @@ class ScenarioConfig:
         if self.drift is not None and self.drift.turn_year is not None:
             if self.drift.turn_year not in years:
                 raise AnalysisError("drift turn year outside years")
-        if self.noise < 0:
-            raise AnalysisError("noise must be non-negative")
-        if self.rounds_per_startup < 1:
-            raise AnalysisError("rounds_per_startup must be at least 1")
 
 
 def mixture_for(config: ScenarioConfig, arch: ArchetypeSpec, stage: StageClass,
-                year: int, jitter: np.ndarray | None = None) -> np.ndarray:
+                year: int) -> np.ndarray:
     """Effective sector mixture for one archetype, stage and year."""
     m = arch.sector_mixture.copy()
     offset = arch.stage_offsets.get(stage)
@@ -248,8 +236,6 @@ def mixture_for(config: ScenarioConfig, arch: ArchetypeSpec, stage: StageClass,
         m = m + offset
     if config.drift is not None and arch.follows_drift:
         m = m + config.drift.direction * config.drift.phase(year, config.years[0])
-    if jitter is not None:
-        m = m + jitter
     m = np.clip(m, 0.0, None)
     total = m.sum()
     if total <= 0:
@@ -293,28 +279,6 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     archetype_of: dict[str, str] = {}
     cohorts: dict[str, list[str]] = {}
 
-    open_slots: dict[tuple[int, int], list] = {}  # (sector, year) -> [startup_id, rounds left]
-    startup_serial = 0
-
-    def startup_for(sector_idx: int, year: int) -> str:
-        nonlocal startup_serial
-        slot = open_slots.get((sector_idx, year))
-        if slot is None or slot[1] == 0:
-            startup_id = f"stp_{startup_serial:06d}"
-            startup_serial += 1
-            startup_rows.append([
-                startup_id,
-                f"Startup {startup_serial}",
-                "USA",
-                "active",
-                dt.date(year, 1, 2).isoformat(),
-                sectors[sector_idx],
-            ])
-            slot = [startup_id, config.rounds_per_startup]
-            open_slots[(sector_idx, year)] = slot
-        slot[1] -= 1
-        return slot[0]
-
     serial = 0
     investor_no = 0
     for arch in config.archetypes:
@@ -326,10 +290,6 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
             investor_rows.append([investor_id, f"{arch.name} {investor_no}", arch.type_label])
             archetype_of[investor_id] = arch.name
             cohorts.setdefault(arch.name, []).append(investor_id)
-            jitter = (
-                config.noise * rng.standard_normal(config.n_sectors)
-                if config.noise > 0 else None
-            )
             for year in config.years:
                 if arch.active_window is not None and year not in arch.active_window:
                     continue
@@ -340,7 +300,7 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
                 for stage, n_stage in zip(stage_order, stage_counts):
                     if n_stage == 0:
                         continue
-                    mixture = mixture_for(config, arch, stage, year, jitter)
+                    mixture = mixture_for(config, arch, stage, year)
                     drawn = rng.choice(config.n_sectors, size=n_stage, p=mixture)
                     months = rng.integers(1, 13, size=n_stage)
                     days = rng.integers(1, 29, size=n_stage)
@@ -348,16 +308,24 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
                         0.0, 0.4, size=n_stage
                     )
                     for j in range(n_stage):
-                        round_id = f"rnd_{serial:06d}"
-                        serial += 1
+                        startup_id = f"stp_{serial:06d}"
+                        startup_rows.append([
+                            startup_id,
+                            f"Startup {serial + 1}",
+                            "USA",
+                            "active",
+                            dt.date(year, 1, 2).isoformat(),
+                            sectors[int(drawn[j])],
+                        ])
                         round_rows.append([
-                            round_id,
-                            startup_for(int(drawn[j]), year),
+                            f"rnd_{serial:06d}",
+                            startup_id,
                             dt.date(year, int(months[j]), int(days[j])).isoformat(),
                             STAGE_LABELS[stage],
                             repr(round(float(amounts[j]), 2)),
                             investor_id,
                         ])
+                        serial += 1
 
     ontology = SectorOntology(parent_tags=sectors, version=f"synth-{config.name}")
     files = EcosystemFiles(

@@ -51,41 +51,35 @@ class StrategyTensor:
         return self.values.shape
 
 
-def build_tensor(profiles: ProfileTable, years, sectors) -> StrategyTensor:
-    """Assemble and per-slice standardize the activity tensor.
+def build_tensor(profiles: ProfileTable) -> StrategyTensor:
+    """Assemble and per-slice standardize the activity tensor of a table.
 
     The table's round rows are scattered into the tensor in one pass: each
-    row lands in its investor's row (investors sorted) and its year's slab;
-    rows of years outside ``years`` are left out. ``sectors`` is an ontology
-    or an explicit tag tuple; table sectors it lacks are left out. Investors
-    keep the same row in every yearly slice; rows for inactive years stay
-    zero until standardization recenters them. Needs at least two years and
-    two investors, otherwise the temporal factor (or a fiber std) is
-    undefined.
+    row lands in its investor's row (investors sorted) and its year's slab
+    (the table's years, ascending); the sectors are the table's columns.
+    Investors keep the same row in every yearly slice; rows for inactive
+    years stay zero until standardization recenters them. Needs at least
+    two years and two investors, otherwise the temporal factor (or a fiber
+    std) is undefined.
     """
-    sector_names = tuple(getattr(sectors, "parent_tags", sectors))
-    years = tuple(sorted(years))
+    years, k = np.unique(profiles.years, return_inverse=True)
     if len(years) < 2:
         raise AnalysisError("tensor needs at least 2 years")
     investor_ids, i = np.unique(profiles.investor_ids, return_inverse=True)
     if len(investor_ids) < 2:
         raise AnalysisError("tensor needs at least 2 investors")
 
-    # (tensor column, table column) of every tag both sector lists name
-    col, src = np.nonzero(np.array(sector_names, dtype=str)[:, None]
-                          == np.array(profiles.sectors, dtype=str))
-    k = np.searchsorted(years, profiles.years)
-    kept = np.isin(profiles.years, years)
-    values = np.zeros((len(investor_ids), len(sector_names), len(years)))
-    np.add.at(values, (i[kept, None], col, k[kept, None]), profiles.rounds[kept][:, src])
+    n_sectors = len(profiles.sectors)
+    values = np.zeros((len(investor_ids), n_sectors, len(years)))
+    np.add.at(values, (i[:, None], np.arange(n_sectors), k[:, None]), profiles.rounds)
 
-    for k in range(len(years)):
-        values[:, :, k] = standardize(values[:, :, k])[0]
+    for slab in range(len(years)):
+        values[:, :, slab] = standardize(values[:, :, slab])[0]
     return StrategyTensor(
         values=values,
         investor_ids=tuple(investor_ids.tolist()),
-        sectors=sector_names,
-        years=years,
+        sectors=profiles.sectors,
+        years=tuple(years.tolist()),
     )
 
 
@@ -385,7 +379,7 @@ def select_rank(ranks, best_error: dict[int, float], similarity: dict[int, float
     return chosen
 
 
-def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
+def rank_scan(tensor: StrategyTensor | np.ndarray, ranks, restarts: int = 5, seed: int = 0,
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
               similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD) -> FitDiagnostics:
     """Scan candidate ranks with multi-restart ALS and pick the working rank.
@@ -397,7 +391,9 @@ def rank_scan(tensor: StrategyTensor, ranks, restarts: int = 5, seed: int = 0,
     up to R (the first scanned rank is credited with its drop from the
     empty model, whose relative error is 1), among ranks whose similarity
     stays at or above the threshold: past the true rank the marginal gain
-    collapses while restart agreement degrades.
+    collapses while restart agreement degrades. ``tensor`` may also be a
+    plain N x S x K array; models fitted on one carry no investor, sector
+    or year labels.
     """
     ranks = tuple(sorted(ranks))
     if not ranks:

@@ -39,6 +39,7 @@ from sectorspace.profiles import (
     GroupSpec,
     ProfileOptions,
     ProfileTable,
+    SectorActivity,
     build_profiles,
     stage_partition,
 )
@@ -248,7 +249,7 @@ def _load_scenario(name, seed, root):
 
 def _all_profiles(dataset, years):
     options = ProfileOptions(exclude_sectors=frozenset(), years=years)
-    return build_profiles(dataset, options=options), options
+    return build_profiles(SectorActivity.from_dataset(dataset), options=options), options
 
 
 def _check_convergence_minimum(seed, root):
@@ -263,8 +264,9 @@ def _check_convergence_minimum(seed, root):
 def _check_stage_ordering(seed, root):
     config, truth, dataset = _load_scenario("stage_offsets", seed, root)
     options = ProfileOptions(exclude_sectors=frozenset(), years=config.years)
-    profiles = ProfileTable.concat([build_profiles(dataset, options=options),
-                                    *stage_partition(dataset, options=options).values()])
+    activity = SectorActivity.from_dataset(dataset)
+    profiles = ProfileTable.concat([build_profiles(activity, options=options),
+                                    *stage_partition(activity, options=options).values()])
     minima = []
     for stage in STAGES:
         series = metrics.distance_series(
@@ -297,8 +299,7 @@ def _check_concentration(seed, root):
 def _check_emerging_cohort(seed, root):
     config, truth, dataset = _load_scenario("emergence", seed, root)
     profiles, _ = _all_profiles(dataset, config.years)
-    years = np.unique(profiles.years).tolist()
-    tensor = tca.build_tensor(profiles, years, dataset.ontology)
+    tensor = tca.build_tensor(profiles)
     models = [tca.cp_als(tensor, 2, seed=tca._restart_seed(seed, 2, j))
               for j in range(5)]
     errors = [tca.reconstruction_error(m, tensor) for m in models]

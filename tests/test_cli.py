@@ -276,6 +276,18 @@ class TestTca:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSpread:
+    def test_no_year_with_two_investors_exits_before_writing(self, tmp_path, capsys):
+        # one investor whose yearly mix varies, so the heatmap edges are not degenerate
+        counts = np.arange(15.0).reshape(1, 3, 5) % 4 + 1
+        data = counts_to_tables(counts, tmp_path / "lone", first_year=2010)
+        out = tmp_path / "out"
+        code = cli.main(["spread", *table_flags(data), "--grid", "2x2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
+
 EXPECTED_ALL = [
     "distances.csv", "distances.svg",
     "manifest_all.json",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sectorspace.errors import IntegrityError, SchemaError, StageError
+from sectorspace.errors import IntegrityError, SchemaError
 from sectorspace.ingest import (
     INVESTOR_COLUMNS,
     INVESTOR_TYPES,
@@ -85,10 +85,6 @@ class TestClassifyStage:
             assert classify_stage(label) is StageClass.SERIES_A
         assert classify_stage("series b") is StageClass.SERIES_B
         assert classify_stage("Series C") is StageClass.SERIES_C_PLUS
-
-    def test_unknown_strict_raises(self):
-        with pytest.raises(StageError, match="pre-seed"):
-            classify_stage("pre-seed", strict=True)
 
     def test_unknown_lenient_falls_back(self):
         assert classify_stage("pre-seed") is None

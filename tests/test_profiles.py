@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorspace.errors import AnalysisError, StageError
+from sectorspace.errors import AnalysisError
 from sectorspace.ingest import StageClass, classify_stage
 from sectorspace.profiles import (
     STAGE_SLOTS,
@@ -38,6 +37,11 @@ from conftest import (
 )
 
 NO_EXCLUDE = ProfileOptions(exclude_sectors=frozenset())
+
+
+@pytest.fixture
+def tiny_activity(tiny_dataset):
+    return SectorActivity.from_dataset(tiny_dataset)
 
 
 class TestSplitRound:
@@ -68,7 +72,7 @@ class TestBuildProfiles:
             [make_investor("i1")],
             small_ontology,
         )
-        profiles = build_profiles(dataset, options=NO_EXCLUDE)
+        profiles = build_profiles(SectorActivity.from_dataset(dataset), options=NO_EXCLUDE)
         assert len(profiles) == 1
         assert labels(profiles) == [("i1", 2010)]
         assert profiles.sectors == TAGS4
@@ -82,7 +86,7 @@ class TestBuildProfiles:
             [make_investor("i1")],
             small_ontology,
         )
-        profiles = build_profiles(dataset, options=NO_EXCLUDE)
+        profiles = build_profiles(SectorActivity.from_dataset(dataset), options=NO_EXCLUDE)
         assert labels(profiles) == [("i1", 2010), ("i1", 2012)]
 
     def test_per_sector_totals_match_brute_force(self, small_ontology):
@@ -98,7 +102,7 @@ class TestBuildProfiles:
             for k in range(40)
         ]
         dataset = make_dataset(startups, rounds, investors, small_ontology)
-        profiles = build_profiles(dataset, options=NO_EXCLUDE)
+        profiles = build_profiles(SectorActivity.from_dataset(dataset), options=NO_EXCLUDE)
 
         tags_of = {startup.startup_id: startup.tags for startup in startups}
         expected = dict.fromkeys(TAGS4, 0.0)
@@ -111,9 +115,9 @@ class TestBuildProfiles:
             totals += counts
         np.testing.assert_allclose(totals, [expected[t] for t in TAGS4], atol=1e-9)
 
-    def test_stage_filter_restricts(self, tiny_dataset):
+    def test_stage_filter_restricts(self, tiny_activity):
         seed_only = build_profiles(
-            tiny_dataset,
+            tiny_activity,
             options=ProfileOptions(exclude_sectors=frozenset(),
                                    stage_filter=StageClass.SEED),
         )
@@ -128,36 +132,26 @@ class TestBuildProfiles:
             [make_investor("i1")],
             small_ontology,
         )
-        dropped = build_profiles(
-            dataset, options=ProfileOptions(exclude_sectors=frozenset({"Beta"})))
+        dropped = build_profiles(SectorActivity.from_dataset(dataset),
+                                 options=ProfileOptions(exclude_sectors=frozenset({"Beta"})))
         assert dropped.sectors == ("Alpha", "Gamma", "Delta")
         np.testing.assert_allclose(dropped.rounds[0], [0.5, 0, 0])
 
-    def test_years_window(self, tiny_dataset):
+    def test_years_window(self, tiny_activity):
         profiles = build_profiles(
-            tiny_dataset,
+            tiny_activity,
             options=ProfileOptions(exclude_sectors=frozenset(), years=range(2010, 2011)),
         )
         assert set(profiles.years.tolist()) == {2010}
         with pytest.raises(AnalysisError, match="empty years"):
-            build_profiles(tiny_dataset,
+            build_profiles(tiny_activity,
                            options=ProfileOptions(years=range(2010, 2010)))
 
-    def test_strict_stage_raises_on_junk(self, small_ontology):
-        dataset = make_dataset(
-            [make_startup("s1", ["Alpha"])],
-            [make_round("r1", "s1", 2010, ["i1"], stage="mystery")],
-            [make_investor("i1")],
-            small_ontology,
-        )
-        with pytest.raises(Exception, match="mystery"):
-            build_profiles(dataset, options=ProfileOptions(strict_stage=True))
-
-    def test_row_order_never_matters(self, tiny_dataset):
+    def test_row_order_never_matters(self, tiny_dataset, tiny_activity):
         reversed_dataset = make_dataset(*(table[::-1] for table in tiny_tables()),
                                         tiny_dataset.ontology)
-        a = build_profiles(tiny_dataset, options=NO_EXCLUDE)
-        b = build_profiles(reversed_dataset, options=NO_EXCLUDE)
+        a = build_profiles(tiny_activity, options=NO_EXCLUDE)
+        b = build_profiles(SectorActivity.from_dataset(reversed_dataset), options=NO_EXCLUDE)
         assert_same_profiles(a, b)
 
 
@@ -183,7 +177,7 @@ def test_mass_conservation(data):
         for k in range(data.draw(st.integers(1, 15)))
     ]
     dataset = make_dataset(startups, rounds, investors, ontology)
-    profiles = build_profiles(dataset, options=NO_EXCLUDE)
+    profiles = build_profiles(SectorActivity.from_dataset(dataset), options=NO_EXCLUDE)
     total = sum(float(counts.sum()) for counts in profiles.rounds)
     assert total == pytest.approx(sum(len(r.investor_ids) for r in rounds), abs=1e-9)
 
@@ -199,12 +193,9 @@ def reference_profiles(dataset, options):
         year = rnd.announced_date.year
         if year not in options.years:
             continue
-        if options.stage_filter is not None:
-            stage = classify_stage(rnd.stage_label, strict=options.strict_stage)
-            if stage is not options.stage_filter:
-                continue
-        elif options.strict_stage:
-            classify_stage(rnd.stage_label, strict=True)
+        if (options.stage_filter is not None
+                and classify_stage(rnd.stage_label) is not options.stage_filter):
+            continue
         parents, _ = ontology.resolve(startup_by_id[rnd.startup_id].tags)
         parents = sorted(parents)
         if not parents:
@@ -279,27 +270,20 @@ def test_slices_match_round_by_round_oracle(data):
             list(TAGS4) + ["Nowhere"])))),
         stage_filter=data.draw(st.sampled_from([None, *StageClass])),
         years=range(first, data.draw(st.integers(first + 1, 2014))),
-        strict_stage=data.draw(st.booleans()),
     )
 
-    try:
-        expected = reference_profiles(dataset, options)
-    except StageError as exc:
-        with pytest.raises(StageError, match=re.escape(str(exc))):
-            build_profiles(dataset, options=options)
-        return
-    assert_same_profiles(build_profiles(dataset, options=options), expected)
     activity = SectorActivity.from_dataset(dataset)
-    assert_same_profiles(build_profiles(activity, options=options), expected)
-    parts = stage_partition(dataset, options=options)
+    assert_same_profiles(build_profiles(activity, options=options),
+                         reference_profiles(dataset, options))
+    parts = stage_partition(activity, options=options)
     for stage in StageClass:
         assert_same_profiles(parts[stage], reference_profiles(
             dataset, replace(options, stage_filter=stage)))
 
 
-def test_stage_partition_sums_to_unfiltered(tiny_dataset):
-    unfiltered = build_profiles(tiny_dataset, options=NO_EXCLUDE)
-    parts = stage_partition(tiny_dataset, options=NO_EXCLUDE)
+def test_stage_partition_sums_to_unfiltered(tiny_activity):
+    unfiltered = build_profiles(tiny_activity, options=NO_EXCLUDE)
+    parts = stage_partition(tiny_activity, options=NO_EXCLUDE)
     summed = {}
     for stage_profiles in parts.values():
         for key, counts in zip(labels(stage_profiles), stage_profiles.rounds):
@@ -310,32 +294,32 @@ def test_stage_partition_sums_to_unfiltered(tiny_dataset):
 
 
 class TestGroupProfiles:
-    def test_type_selector(self, tiny_dataset):
-        profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
+    def test_type_selector(self, tiny_dataset, tiny_activity):
+        profiles = build_profiles(tiny_activity, options=NO_EXCLUDE)
         accel = group_profiles(profiles, GroupSpec(investor_type="accelerator"),
                                tiny_dataset.investor_by_id)
         assert set(accel.investor_ids.tolist()) == {"i2"}
 
-    def test_stage_selector_equals_filtered_build(self, tiny_dataset):
-        parts = stage_partition(tiny_dataset, options=NO_EXCLUDE)
-        pool = ProfileTable.concat([build_profiles(tiny_dataset, options=NO_EXCLUDE),
+    def test_stage_selector_equals_filtered_build(self, tiny_activity):
+        parts = stage_partition(tiny_activity, options=NO_EXCLUDE)
+        pool = ProfileTable.concat([build_profiles(tiny_activity, options=NO_EXCLUDE),
                                     parts[StageClass.SEED]])
         via_group = group_profiles(pool, GroupSpec(stage=StageClass.SEED))
         assert_same_profiles(via_group, parts[StageClass.SEED])
 
-    def test_unknown_label_rejected(self, tiny_dataset):
-        profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
+    def test_unknown_label_rejected(self, tiny_dataset, tiny_activity):
+        profiles = build_profiles(tiny_activity, options=NO_EXCLUDE)
         with pytest.raises(AnalysisError, match="sovereign_fund"):
             group_profiles(profiles, GroupSpec(investor_type="sovereign_fund"),
                            tiny_dataset.investor_by_id)
         with pytest.raises(AnalysisError, match="investor table"):
             group_profiles(profiles, GroupSpec(investor_type="vc"))
 
-    def test_sizes_match_row_scan(self, tiny_dataset):
+    def test_sizes_match_row_scan(self, tiny_dataset, tiny_activity):
         # stage rows in the pool never match a type selector
         profiles = ProfileTable.concat([
-            build_profiles(tiny_dataset, options=NO_EXCLUDE),
-            *stage_partition(tiny_dataset, options=NO_EXCLUDE).values()])
+            build_profiles(tiny_activity, options=NO_EXCLUDE),
+            *stage_partition(tiny_activity, options=NO_EXCLUDE).values()])
         for type_label in ("vc", "accelerator"):
             got = group_profiles(profiles, GroupSpec(investor_type=type_label),
                                  tiny_dataset.investor_by_id)
@@ -355,8 +339,8 @@ class TestGroupProfiles:
         assert GroupSpec(stage=StageClass.SEED).label() == "stage:seed"
 
 
-def test_share_matrix_rows_sum_to_one(tiny_dataset):
-    profiles = build_profiles(tiny_dataset, options=NO_EXCLUDE)
+def test_share_matrix_rows_sum_to_one(tiny_activity):
+    profiles = build_profiles(tiny_activity, options=NO_EXCLUDE)
     matrix = share_matrix(profiles)
     assert matrix.shape == profiles.rounds.shape
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)

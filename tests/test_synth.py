@@ -9,7 +9,8 @@ import pytest
 from sectorspace.errors import AnalysisError
 from sectorspace.ingest import load_dataset, validate_dataset
 from sectorspace.pca import barycenter
-from sectorspace.profiles import ProfileOptions, build_profiles, profiles_by_year
+from sectorspace.profiles import (ProfileOptions, SectorActivity, build_profiles,
+                                  profiles_by_year)
 from sectorspace.synth import (
     SCENARIOS,
     ArchetypeSpec,
@@ -69,8 +70,6 @@ class TestGenerateCPTensor:
             generate_cp_tensor(4, 3, 2, 0, seed=0)
         with pytest.raises(AnalysisError, match="noise"):
             generate_cp_tensor(4, 3, 2, 1, noise=-0.1, seed=0)
-        with pytest.raises(AnalysisError, match="weights"):
-            generate_cp_tensor(4, 3, 2, 2, weights=np.ones(3), seed=0)
 
 
 class TestScenarioValidation:
@@ -97,13 +96,6 @@ class TestScenarioValidation:
         with pytest.raises(AnalysisError, match="concentration window"):
             generate_ecosystem(concentrated, tmp_path)
 
-    def test_rounds_per_startup_floor(self):
-        arch = ArchetypeSpec("a", "vc", 3, np.array([0.5, 0.5]), 2.0)
-        config = ScenarioConfig("bad", range(2010, 2012), 2, (arch,),
-                                rounds_per_startup=0)
-        with pytest.raises(AnalysisError, match="rounds_per_startup"):
-            config.validate()
-
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
@@ -124,6 +116,8 @@ class TestGenerateEcosystem:
         dataset = load_ecosystem(files)
         assert len(dataset.investors) == config.n_investors
         assert len(dataset.startups) == len(dataset.rounds)  # one startup per round
+        startups = {rnd.startup_id for rnd in rows(dataset.rounds)}
+        assert len(startups) == len(dataset.rounds)  # and no round shares one
         assert set(truth.archetype_of) == {i.investor_id for i in dataset.investors}
 
     def test_deterministic_bytes(self, tmp_path):
@@ -157,8 +151,8 @@ class TestGenerateEcosystem:
         config, files, _ = baseline
         dataset = load_ecosystem(files)
         profiles = build_profiles(
-            dataset, options=ProfileOptions(exclude_sectors=frozenset(),
-                                            years=config.years))
+            SectorActivity.from_dataset(dataset),
+            options=ProfileOptions(exclude_sectors=frozenset(), years=config.years))
         p = 1.0 / config.n_sectors
         for year_profiles in profiles_by_year(profiles).values():
             point = barycenter(year_profiles)
@@ -183,26 +177,6 @@ class TestGenerateEcosystem:
         expected = counts.sum() / len(sectors)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_CRIT_DF9
-
-    def test_many_to_one_pooling_respects_sector_and_year(self, tmp_path):
-        config = baseline_scenario(seed=7, n_investors=10, rate=6.0)
-        config = ScenarioConfig(
-            name=config.name, years=config.years, n_sectors=config.n_sectors,
-            archetypes=config.archetypes, drift=config.drift,
-            concentration=config.concentration, noise=config.noise,
-            rounds_per_startup=3, seed=config.seed,
-        )
-        files, _ = generate_ecosystem(config, tmp_path)
-        dataset = load_ecosystem(files)
-        assert len(dataset.startups) < len(dataset.rounds)
-        startup_by_id = {startup.startup_id: startup for startup in rows(dataset.startups)}
-        for rnd in rows(dataset.rounds):
-            startup = startup_by_id[rnd.startup_id]
-            assert rnd.announced_date.year == startup.founded_date.year
-        per_startup = {}
-        for rnd in rows(dataset.rounds):
-            per_startup[rnd.startup_id] = per_startup.get(rnd.startup_id, 0) + 1
-        assert max(per_startup.values()) <= 3
 
 
 def test_scenario_registry_is_complete():

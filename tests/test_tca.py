@@ -60,7 +60,7 @@ class TestBuildTensor:
             make_profiles(np.array([[0.0, 3.0], [1.0, 0.0]]), year=2011,
                           sectors=("A", "B"), investor_ids=["i1", "i2"])
         ])
-        tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
+        tensor = build_tensor(profiles)
         assert tensor.shape == (2, 2, 2)
         assert tensor.investor_ids == ("i1", "i2")
         assert tensor.years == (2010, 2011)
@@ -76,7 +76,7 @@ class TestBuildTensor:
             make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
                           sectors=("A", "B"), investor_ids=["i1", "i2"])
         ])
-        tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
+        tensor = build_tensor(profiles)
         # the raw 2010 column A is constant, so its slab column is all zero
         np.testing.assert_array_equal(tensor.values[:, 0, 0], 0.0)
         assert tensor.values[:, 1, 0].std(ddof=1) == pytest.approx(1.0, abs=1e-12)
@@ -93,8 +93,7 @@ class TestBuildTensor:
                                         weights=counts.sum(axis=1),
                                         investor_ids=[f"i{j:02d}" for j in range(15)]))
             raw.append(tables[-1].rounds)
-        tensor = build_tensor(ProfileTable.concat(tables), range(2008, 2011),
-                              tuple(f"S{j:02d}" for j in range(4)))
+        tensor = build_tensor(ProfileTable.concat(tables))
         for k in range(3):
             slab = tensor.values[:, :, k]
             np.testing.assert_allclose(slab.mean(axis=0), 0.0, atol=1e-9)
@@ -109,17 +108,21 @@ class TestBuildTensor:
             make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
                           sectors=("A", "B"), investor_ids=["i1", "i2"])
         ])
-        tensor = build_tensor(profiles, range(2010, 2012), ("A", "B"))
+        tensor = build_tensor(profiles)
         assert tensor.shape == (3, 2, 2)
         assert set(tensor.investor_ids) == {"lone", "i1", "i2"}
 
     def test_needs_two_years_and_two_investors(self):
         profiles = make_profiles(np.eye(2), year=2010, sectors=("A", "B"))
         with pytest.raises(AnalysisError, match="2 years"):
-            build_tensor(profiles, range(2010, 2011), ("A", "B"))
-        lone = make_profiles(np.array([[1.0, 0.0]]), year=2010, sectors=("A", "B"))
+            build_tensor(profiles)
+        lone = ProfileTable.concat([
+            make_profiles(np.array([[1.0, 0.0]]), year=year, sectors=("A", "B"),
+                          investor_ids=["lone"])
+            for year in (2010, 2011)
+        ])
         with pytest.raises(AnalysisError, match="2 investors"):
-            build_tensor(lone, range(2010, 2012), ("A", "B"))
+            build_tensor(lone)
 
 
 def test_khatri_rao_columns():
