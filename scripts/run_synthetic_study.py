@@ -15,8 +15,8 @@ import numpy as np
 
 import sectorspace as ss
 from sectorspace import metrics, synth, tca
-from sectorspace.profiles import (GroupSpec, ProfileOptions, ProfileTable, SectorActivity,
-                                  build_profiles, stage_partition)
+from sectorspace.profiles import (ProfileOptions, SectorActivity, build_profiles,
+                                  group_profiles, stage_partition)
 
 
 def load(name: str, seed: int, root: Path):
@@ -31,22 +31,19 @@ def load(name: str, seed: int, root: Path):
 
 def study_convergence(seed: int, root: Path) -> None:
     truth, dataset, _, profiles, _ = load("convergence", seed, root)
-    series = metrics.distance_series(profiles, GroupSpec(investor_type="vc"),
-                                     GroupSpec(investor_type="accelerator"),
-                                     investors=dataset.investor_by_id)
+    vc, accelerator = (group_profiles(profiles, label, dataset.investor_by_id)
+                       for label in ("vc", "accelerator"))
+    series = metrics.distance_series(vc, accelerator, "vc", "accelerator")
     print(f"  vc/accelerator distance minimum at {series.minimum_year()} "
           f"(planted turn {truth.turn_year})")
 
 
 def study_stage_offsets(seed: int, root: Path) -> None:
     _, dataset, activity, profiles, options = load("stage_offsets", seed, root)
-    profiles = ProfileTable.concat(
-        [profiles, *stage_partition(activity, options=options).values()])
-    for stage in ss.StageClass:
-        series = metrics.distance_series(
-            profiles, GroupSpec(stage=stage),
-            GroupSpec(investor_type="accelerator"),
-            investors=dataset.investor_by_id)
+    accelerator = group_profiles(profiles, "accelerator", dataset.investor_by_id)
+    for stage, stage_profiles in stage_partition(activity, options=options).items():
+        series = metrics.distance_series(stage_profiles, accelerator,
+                                         stage.value, "accelerator")
         print(f"  {stage.value:<9} min distance {min(series.distances):.3f} "
               f"at {series.minimum_year()}")
 

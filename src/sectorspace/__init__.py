@@ -51,7 +51,6 @@ from .pca import (
     standardize,
 )
 from .profiles import (
-    GroupSpec,
     ProfileOptions,
     ProfileTable,
     SectorActivity,

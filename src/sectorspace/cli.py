@@ -25,10 +25,10 @@ from .ingest import (
 )
 from .profiles import (
     DEFAULT_YEARS,
-    GroupSpec,
     ProfileOptions,
     SectorActivity,
     build_profiles,
+    group_profiles,
     stage_partition,
 )
 
@@ -233,9 +233,7 @@ def _run_pca(config: PipelineConfig, dataset: ValidatedDataset,
     trajectories = {"all": pca.barycenter_trajectory(profiles, model)}
     for stage, stage_profiles in stage_partition(activity, options=options).items():
         if stage_profiles:
-            trajectories[stage.value] = pca.barycenter_trajectory(
-                stage_profiles, model, stage=stage
-            )
+            trajectories[stage.value] = pca.barycenter_trajectory(stage_profiles, model)
     reports.write_trajectory(config.out / "trajectory.csv", trajectories)
 
     svgplot.save_svg(
@@ -277,8 +275,7 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
         for iid, value, type_label in tca.top_investors(
             best, component, min(10, len(best.investor_ids)), dataset.investor_by_id
         ):
-            name = dataset.investor_by_id[iid].name if iid in dataset.investor_by_id else iid
-            rows.append((iid, name, type_label, value))
+            rows.append((iid, dataset.investor_by_id[iid].name, type_label, value))
         tables[component + 1] = rows
     reports.write_top_investors(config.out / "top_investors.csv", tables)
 
@@ -317,19 +314,15 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
 def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
                    activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
-    present = sorted({
-        dataset.investor_by_id[iid].type_label
-        for iid in set(profiles.investor_ids.tolist()) if iid in dataset.investor_by_id
-    })
+    investors = dataset.investor_by_id
+    present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
+    groups = {label: group_profiles(profiles, label, investors) for label in present}
     series_list = []
     for i, type_a in enumerate(present):
         for type_b in present[i + 1:]:
             try:
                 series_list.append(metrics.distance_series(
-                    profiles, GroupSpec(investor_type=type_a),
-                    GroupSpec(investor_type=type_b),
-                    investors=dataset.investor_by_id,
-                ))
+                    groups[type_a], groups[type_b], f"type:{type_a}", f"type:{type_b}"))
             except SectorSpaceError:
                 continue
     if not series_list:
@@ -338,21 +331,16 @@ def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
     svgplot.save_svg(
         config.out / "distances.svg",
         svgplot.line_chart(
-            [(f"{s.group_a.label()} vs {s.group_b.label()}",
+            [(f"{s.label_a} vs {s.label_b}",
               [float(y) for y in s.years], list(s.distances)) for s in series_list],
             title="Barycenter distances", x_label="year", y_label="distance",
-            sigmas={
-                f"{s.group_a.label()} vs {s.group_b.label()}":
-                [e[2] for e in s.entries] for s in series_list
-            },
+            sigmas={f"{s.label_a} vs {s.label_b}": [e[2] for e in s.entries]
+                    for s in series_list},
         ),
     )
     return {
-        "pairs": [[s.group_a.label(), s.group_b.label()] for s in series_list],
-        "minimum_years": {
-            f"{s.group_a.label()}|{s.group_b.label()}": s.minimum_year()
-            for s in series_list
-        },
+        "pairs": [[s.label_a, s.label_b] for s in series_list],
+        "minimum_years": {f"{s.label_a}|{s.label_b}": s.minimum_year() for s in series_list},
     }
 
 
@@ -459,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--exclude-sector", action="append", metavar="TAG",
                         help=f"parent tag to drop (default: {', '.join(DEFAULT_EXCLUDES)}; "
                              "pass an empty string to keep everything)")
-    common.add_argument("--stage", choices=sorted(STAGE_FLAGS), default=None)
+    common.add_argument("--stage", choices=sorted(STAGE_FLAGS), default=None,
+                        help="keep only this stage's rounds in profiles and tca "
+                             "(default: every round); pca, distances and spread ignore it")
     common.add_argument("--pca-dim", type=partial(_parse_above, kind=int, bound=1), default=2)
     common.add_argument("--r-range", type=partial(_parse_range, minimum=1),
                         default=range(1, 9), metavar="LO:HI")

@@ -1,8 +1,10 @@
 """Distance and concentration analyses in full-dimensional sector space.
 
-Every analysis reads a ``profiles.ProfileTable``: groups and years are row
-masks over it. Distances between group barycenters are computed on the
-pre-PCA coordinates (whatever dimensionality the table carries, i.e. with
+Every analysis reads the ``profiles.ProfileTable`` it is handed, each
+table one stage view; years are row masks over it. Distances between the
+barycenters of two tables (say, two investor types selected with
+``profiles.group_profiles``, or a stage view and a type) are computed on
+the pre-PCA coordinates (whatever dimensionality the table carries, i.e. with
 any excluded sectors already dropped) as ``profiles.share_matrix`` rows;
 only the heatmaps go through the 2-D projection, once per grid. All
 operations are pure functions of immutable inputs and order their per-year
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import AnalysisError
 from .pca import BarycenterPoint, PCAModel, barycenter, project
-from .profiles import GroupSpec, ProfileTable, group_profiles, profiles_by_year, share_matrix
+from .profiles import ProfileTable, profiles_by_year, share_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +52,8 @@ def distance_with_error(a: BarycenterPoint, b: BarycenterPoint) -> tuple[float, 
 
 @dataclass(frozen=True)
 class DistanceSeries:
-    group_a: GroupSpec
-    group_b: GroupSpec
+    label_a: str
+    label_b: str
     entries: tuple[tuple[int, float, float], ...]  # (year, distance, sigma)
 
     @property
@@ -66,27 +68,25 @@ class DistanceSeries:
         return self.entries[int(np.argmin(self.distances))][0]
 
 
-def distance_series(profiles: ProfileTable, group_a: GroupSpec,
-                    group_b: GroupSpec, investors: dict | None = None) -> DistanceSeries:
-    """Yearly barycenter-to-barycenter distance between two groups.
+def distance_series(a: ProfileTable, b: ProfileTable,
+                    label_a: str, label_b: str) -> DistanceSeries:
+    """Yearly barycenter-to-barycenter distance between the tables ``a`` and ``b``.
 
-    Years where either group has no activity are omitted; no common year
-    at all is an error.
+    Years where either table has no activity are omitted; no common year
+    at all is an error. The labels name the two groups in the result.
     """
-    a_by_year = profiles_by_year(group_profiles(profiles, group_a, investors))
-    b_by_year = profiles_by_year(group_profiles(profiles, group_b, investors))
+    a_by_year = profiles_by_year(a)
+    b_by_year = profiles_by_year(b)
     common = sorted(set(a_by_year) & set(b_by_year))
     if not common:
-        raise AnalysisError(
-            f"groups {group_a.label()} and {group_b.label()} share no active year"
-        )
+        raise AnalysisError(f"groups {label_a} and {label_b} share no active year")
     entries = []
     for year in common:
         d, sigma = distance_with_error(
             barycenter(a_by_year[year]), barycenter(b_by_year[year])
         )
         entries.append((year, d, sigma))
-    return DistanceSeries(group_a=group_a, group_b=group_b, entries=tuple(entries))
+    return DistanceSeries(label_a=label_a, label_b=label_b, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,10 @@ def heatmap_grid(profiles: ProfileTable, model: PCAModel,
     Edges span the 1st-99th percentile of all projected points; the
     stragglers outside clamp into the border bins.
     """
-    unfiltered = profiles.of_stage(None)
-    if not len(unfiltered):
+    if not len(profiles):
         raise AnalysisError("no profiles to bin")
-    points = project(model, share_matrix(unfiltered))
-    years = unfiltered.years
+    points = project(model, share_matrix(profiles))
+    years = profiles.years
     lo, hi = np.percentile(points, (1.0, 99.0), axis=0)
     if not (hi > lo).all():
         raise AnalysisError("degenerate bin edges: projected points do not spread")
@@ -163,6 +162,6 @@ def average_distance_to_barycenter(profiles: ProfileTable) -> tuple[float, float
 
 def spread_series(profiles: ProfileTable) -> list[tuple[int, float, float]]:
     """Per-year (mean distance to barycenter, standard error), years ascending."""
-    by_year = profiles_by_year(profiles.of_stage(None))
+    by_year = profiles_by_year(profiles)
     return [(year, *average_distance_to_barycenter(year_profiles))
             for year, year_profiles in by_year.items() if len(year_profiles) >= 2]

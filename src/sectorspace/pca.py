@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .ingest import StageClass
 from .profiles import ProfileTable, profiles_by_year, share_matrix
 
 
@@ -222,14 +221,12 @@ class TrajectoryPoint:
     sigma: np.ndarray
 
 
-def barycenter_trajectory(profiles: ProfileTable, model: PCAModel,
-                          stage: StageClass | None = None) -> list[TrajectoryPoint]:
-    """Per-year barycenters projected into the model plane, years ascending.
+def barycenter_trajectory(profiles: ProfileTable, model: PCAModel) -> list[TrajectoryPoint]:
+    """Per-year barycenters of ``profiles`` projected into the model plane, years ascending.
 
-    ``stage`` selects rows built with that stage filter; ``None`` takes
-    the stage-unfiltered ones. Years with no matching activity are omitted.
+    Years with no activity are omitted.
     """
-    by_year = profiles_by_year(profiles.of_stage(stage))
+    by_year = profiles_by_year(profiles)
     if not by_year:
         raise AnalysisError("no profiles to build a trajectory from")
     points = []

@@ -1,4 +1,4 @@
-"""Per-investor, per-year sectoral strategy profiles, stacked as one table.
+"""Per-investor, per-year sectoral strategy profiles, one table per stage view.
 
 Each round is split equally across the parent tags of its startup: with k
 parent tags, every participating investor books 1/k of a round (and 1/k of
@@ -9,14 +9,14 @@ along for reporting but are not used by the geometric analyses.
 A dataset is accumulated once into a :class:`SectorActivity`: round and
 amount arrays indexed by investor, year, stage slot (all rounds, then one
 slot per :class:`StageClass`) and parent sector. Every profile view is a
-:class:`ProfileTable` sliced from those arrays: one row per investor-year,
-with per-row investor id, year and stage slot and stacked per-sector round
-and amount matrices. :func:`build_profiles` picks the stage slot, the years
-window and the kept sectors, and :func:`stage_partition` slices the four
-stage slots of the same accumulation. Group, year and stage selections are
-row masks over a table, :meth:`ProfileTable.concat` is the one place tables
-are joined, and :func:`share_matrix` is the one place where round counts
-become shares.
+:class:`ProfileTable` sliced from those arrays: the rounds of one stage
+(or of every stage), one row per investor-year, with per-row investor id
+and year and stacked per-sector round and amount matrices.
+:func:`build_profiles` picks the stage, the years window and the kept
+sectors, and :func:`stage_partition` slices the four stage views of the
+same accumulation. Group and year selections are row masks over a table,
+:meth:`ProfileTable.concat` is the one place tables are joined, and
+:func:`share_matrix` is the one place where round counts become shares.
 """
 from __future__ import annotations
 
@@ -52,30 +52,6 @@ class ProfileOptions:
         return tuple(t for t in ontology.parent_tags if t not in self.exclude_sectors)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Selector for a profile subgroup.
-
-    Exactly one of ``investor_type`` and ``stage`` may be set; neither
-    means "all". Type selectors and "all" match only stage-unfiltered
-    rows, so tables that mix stage views stay unambiguous.
-    """
-
-    investor_type: str | None = None
-    stage: StageClass | None = None
-
-    def __post_init__(self):
-        if self.investor_type is not None and self.stage is not None:
-            raise AnalysisError("GroupSpec selects by type or by stage, not both")
-
-    def label(self) -> str:
-        if self.investor_type is not None:
-            return f"type:{self.investor_type}"
-        if self.stage is not None:
-            return f"stage:{self.stage.value}"
-        return "all"
-
-
 def split_round(round_id: str, amount: float, parents) -> list[tuple[str, float, float]]:
     """Equal split of one investor's participation in a round.
 
@@ -102,18 +78,18 @@ N_SLOTS = len(SLOT_STAGES)
 
 @dataclass(frozen=True, eq=False)
 class ProfileTable:
-    """Investor-year profiles stacked as rows over one sector order.
+    """Investor-year profiles of one stage view, stacked as rows over one sector order.
 
-    Row r is investor ``investor_ids[r]`` in year ``years[r]``, booked from
-    the rounds of stage slot ``slots[r]`` (0 = every round, then
-    ``STAGE_SLOTS[stage]``); ``rounds[r]`` and ``amounts[r]`` hold its round
-    weight and amount per sector, columns in ``sectors`` order.
+    Every row is booked from the rounds of ``stage`` (``None``: from every
+    round). Row r is investor ``investor_ids[r]`` in year ``years[r]``;
+    ``rounds[r]`` and ``amounts[r]`` hold its round weight and amount per
+    sector, columns in ``sectors`` order.
     """
 
     sectors: tuple[str, ...]
+    stage: StageClass | None
     investor_ids: np.ndarray
     years: np.ndarray
-    slots: np.ndarray
     rounds: np.ndarray
     amounts: np.ndarray
 
@@ -122,21 +98,20 @@ class ProfileTable:
 
     def take(self, rows) -> "ProfileTable":
         """The rows a boolean mask, an index array or a slice picks, in that order."""
-        return ProfileTable(self.sectors, self.investor_ids[rows], self.years[rows],
-                            self.slots[rows], self.rounds[rows], self.amounts[rows])
-
-    def of_stage(self, stage: StageClass | None) -> "ProfileTable":
-        """Rows booked from the rounds of ``stage`` (``None``: from every round)."""
-        return self.take(self.slots == STAGE_SLOTS[stage])
+        return ProfileTable(self.sectors, self.stage, self.investor_ids[rows],
+                            self.years[rows], self.rounds[rows], self.amounts[rows])
 
     @classmethod
     def concat(cls, tables) -> "ProfileTable":
-        """The rows of ``tables`` one after another; they must share one sector order."""
+        """The rows of ``tables`` one after another; they must share one sector order and stage."""
         tables = list(tables)
         if len({table.sectors for table in tables}) != 1:
             raise AnalysisError("profiles carry differing sector orders")
-        return cls(tables[0].sectors, *(np.concatenate([getattr(t, f.name) for t in tables])
-                                        for f in fields(cls)[1:]))
+        if len({table.stage for table in tables}) != 1:
+            raise AnalysisError("profiles carry differing stages")
+        return cls(tables[0].sectors, tables[0].stage,
+                   *(np.concatenate([getattr(t, f.name) for t in tables])
+                     for f in fields(cls)[2:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,29 +213,22 @@ def build_profiles(activity: SectorActivity,
 
     active = rounds.sum(axis=-1) > 0
     investor_rows, year_rows = np.nonzero(active)
-    return ProfileTable(sectors, np.array(activity.investor_ids, dtype=str)[investor_rows],
-                        activity.years[in_window][year_rows], np.full(investor_rows.size, slot),
-                        rounds[active], amounts[active])
+    return ProfileTable(sectors, options.stage_filter,
+                        np.array(activity.investor_ids, dtype=str)[investor_rows],
+                        activity.years[in_window][year_rows], rounds[active], amounts[active])
 
 
-def group_profiles(profiles: ProfileTable, spec: GroupSpec,
-                   investors: dict | None = None) -> ProfileTable:
-    """Rows of ``profiles`` matching a group selector.
+def group_profiles(profiles: ProfileTable, investor_type: str, investors: dict) -> ProfileTable:
+    """Rows of ``profiles`` whose investor has type ``investor_type``.
 
-    Type selectors need the ``investors`` id -> :class:`RawInvestor`
-    mapping (e.g. ``dataset.investor_by_id``) and reject labels no
-    investor in the table carries.
+    ``investors`` maps id -> :class:`RawInvestor` (e.g.
+    ``dataset.investor_by_id``); a type no investor in it carries is
+    rejected.
     """
-    if spec.investor_type is None:
-        return profiles.of_stage(spec.stage)
-    if investors is None:
-        raise AnalysisError("type-based grouping needs the investor table")
-    known = {inv.type_label for inv in investors.values()}
-    if spec.investor_type not in known:
-        raise AnalysisError(f"no investor has type {spec.investor_type!r}")
-    members = [iid for iid, inv in investors.items() if inv.type_label == spec.investor_type]
-    unfiltered = profiles.of_stage(None)
-    return unfiltered.take(np.isin(unfiltered.investor_ids, members))
+    members = [iid for iid, inv in investors.items() if inv.type_label == investor_type]
+    if not members:
+        raise AnalysisError(f"no investor has type {investor_type!r}")
+    return profiles.take(np.isin(profiles.investor_ids, members))
 
 
 def profiles_by_year(profiles: ProfileTable) -> dict[int, ProfileTable]:

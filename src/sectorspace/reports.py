@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .metrics import DistanceSeries, HeatmapGrid
 from .pca import PCAModel, TrajectoryPoint
-from .profiles import SLOT_STAGES, ProfileTable
+from .profiles import ProfileTable
 from .tca import CPModel, FitDiagnostics
 
 try:
@@ -146,7 +147,7 @@ def write_top_investors(path, tables: dict[int, list]) -> Path:
 
 def write_distances(path, series_list: list[DistanceSeries]) -> Path:
     rows = [
-        [year, series.group_a.label(), series.group_b.label(), distance, sigma]
+        [year, series.label_a, series.label_b, distance, sigma]
         for series in series_list
         for year, distance, sigma in series.entries
     ]
@@ -172,12 +173,15 @@ def write_spread(path, series: list[tuple[int, float, float]]) -> Path:
 
 
 def write_profiles(path, profiles: ProfileTable) -> Path:
-    """Flat dump of every nonzero (investor, year, stage, sector) cell, row by row."""
-    stages = np.array(["all" if stage is None else stage.value for stage in SLOT_STAGES])
+    """Flat dump of every nonzero (investor, year, sector) cell, row by row.
+
+    The stage column repeats the table's one stage, ``all`` when it books
+    every round.
+    """
+    stage = "all" if profiles.stage is None else profiles.stage.value
     row, col = np.nonzero(profiles.rounds)
     rows = zip(profiles.investor_ids[row].tolist(), profiles.years[row].tolist(),
-               stages[profiles.slots[row]].tolist(),
-               np.array(profiles.sectors, dtype=str)[col].tolist(),
+               itertools.repeat(stage), np.array(profiles.sectors, dtype=str)[col].tolist(),
                profiles.rounds[row, col].tolist(), profiles.amounts[row, col].tolist())
     return write_rows(
         path, ["investor_id", "year", "stage", "sector", "rounds", "amount"], rows

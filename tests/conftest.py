@@ -26,7 +26,7 @@ from sectorspace.ingest import (
     load_dataset,
 )
 from sectorspace.ontology import SectorOntology, dump_ontology
-from sectorspace.profiles import STAGE_SLOTS, ProfileTable
+from sectorspace.profiles import ProfileTable
 from sectorspace.reports import write_rows
 
 TAGS4 = ("Alpha", "Beta", "Gamma", "Delta")
@@ -128,9 +128,9 @@ def make_profiles(matrix, year=2010, weights=None, sectors=None, stage=None,
     rounds = matrix * np.asarray(weights, dtype=float)[:, None]
     return ProfileTable(
         sectors=tuple(sectors),
+        stage=stage,
         investor_ids=np.array(investor_ids or [f"inv{i:03d}" for i in range(n)], dtype=str),
         years=np.full(n, year),
-        slots=np.full(n, STAGE_SLOTS[stage]),
         rounds=rounds,
         amounts=rounds * 1e6,
     )

@@ -36,11 +36,10 @@ import sectorspace as ss
 from sectorspace import cli, metrics, pca, synth, tca
 from sectorspace.errors import AnalysisError
 from sectorspace.profiles import (
-    GroupSpec,
     ProfileOptions,
-    ProfileTable,
     SectorActivity,
     build_profiles,
+    group_profiles,
     stage_partition,
 )
 from conftest import make_profiles
@@ -255,9 +254,10 @@ def _all_profiles(dataset, years):
 def _check_convergence_minimum(seed, root):
     config, truth, dataset = _load_scenario("convergence", seed, root)
     profiles, _ = _all_profiles(dataset, config.years)
-    series = metrics.distance_series(profiles, GroupSpec(investor_type="vc"),
-                                     GroupSpec(investor_type="accelerator"),
-                                     investors=dataset.investor_by_id)
+    investors = dataset.investor_by_id
+    series = metrics.distance_series(group_profiles(profiles, "vc", investors),
+                                     group_profiles(profiles, "accelerator", investors),
+                                     "type:vc", "type:accelerator")
     return abs(series.minimum_year() - truth.turn_year) <= 1
 
 
@@ -265,15 +265,13 @@ def _check_stage_ordering(seed, root):
     config, truth, dataset = _load_scenario("stage_offsets", seed, root)
     options = ProfileOptions(exclude_sectors=frozenset(), years=config.years)
     activity = SectorActivity.from_dataset(dataset)
-    profiles = ProfileTable.concat([build_profiles(activity, options=options),
-                                    *stage_partition(activity, options=options).values()])
+    accelerator = group_profiles(build_profiles(activity, options=options), "accelerator",
+                                 dataset.investor_by_id)
+    parts = stage_partition(activity, options=options)
     minima = []
     for stage in STAGES:
-        series = metrics.distance_series(
-            profiles, GroupSpec(stage=stage),
-            GroupSpec(investor_type="accelerator"),
-            investors=dataset.investor_by_id,
-        )
+        series = metrics.distance_series(parts[stage], accelerator,
+                                         f"stage:{stage.value}", "type:accelerator")
         minima.append(min(series.distances))
     return all(minima[i] < minima[i + 1] for i in range(len(minima) - 1))
 

@@ -7,6 +7,7 @@ carries the planted structure and the scan must pick R = 2.
 """
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorspace import cli, ingest, profiles, synth, tca
+from sectorspace import cli, ingest, pca, profiles, synth, tca
 from sectorspace.ontology import SectorOntology, dump_ontology
 from sectorspace.reports import sha256_digest
 
@@ -505,6 +506,74 @@ class TestStage:
         manifest = json.loads((out / "manifest_profiles.json").read_text())
         assert manifest["config"]["stage"] == "seed"
         assert manifest["results"]["profiles"] == 3
+
+
+
+def staged_scenario():
+    """The stage_offsets scenario cut to 12 vc and 3 accelerators; vc rounds span all stages."""
+    config = synth.stage_offsets_scenario(seed=0)
+    return dataclasses.replace(config, archetypes=tuple(
+        dataclasses.replace(a, count=a.count // 5) for a in config.archetypes))
+
+
+STAGED_FLAGS = ["--years", "2008:2015", "--r-range", "1:3", "--restarts", "3", "--grid", "5x5"]
+
+
+@pytest.fixture(scope="module")
+def staged_runs(tmp_path_factory):
+    """``all`` on the staged tables, over every round and with ``--stage seed``."""
+    data = tmp_path_factory.mktemp("staged")
+    synth.generate_ecosystem(staged_scenario(), data)
+    runs = {"data": data}
+    for label, extra in (("every", []), ("seed", ["--stage", "seed"])):
+        out = tmp_path_factory.mktemp(f"staged_{label}")
+        assert cli.main(["all", *table_flags(data), *STAGED_FLAGS, *extra,
+                         "--out", str(out)]) == 0
+        runs[label] = out
+    return runs
+
+
+class TestStageViews:
+    def test_stage_flag_changes_only_profiles_and_tca(self, staged_runs):
+        every, seed = staged_runs["every"], staged_runs["seed"]
+        names = {p.name for p in every.iterdir()} | {p.name for p in seed.iterdir()}
+        changed = {name for name in names
+                   if not ((every / name).is_file() and (seed / name).is_file()
+                           and (every / name).read_bytes() == (seed / name).read_bytes())}
+        tca_files = {name for name in names
+                     if name.startswith("tca_") or name == "top_investors.csv"}
+        assert len(tca_files) >= 6
+        assert changed == {"profiles.csv", "manifest_all.json"} | tca_files
+        results = [json.loads((out / "manifest_all.json").read_text())["results"]
+                   for out in (every, seed)]
+        assert {name for name in results[0] if results[0][name] != results[1][name]} == {
+            "profiles", "tca"}
+
+    def test_trajectory_of_each_stage_table(self, staged_runs):
+        data, out = staged_runs["data"], staged_runs["every"]
+        dataset = ingest.filter_startups(ingest.load_dataset(
+            data / "startups.csv", data / "rounds.csv", data / "investors.csv",
+            data / "ontology.json"))
+        activity = profiles.SectorActivity.from_dataset(dataset)
+        options = profiles.ProfileOptions(years=range(2008, 2016))
+        unfiltered = profiles.build_profiles(activity, options=options)
+        model = pca.fit_on_profiles(unfiltered, 2)
+        expected = {"all": pca.barycenter_trajectory(unfiltered, model)}
+        for stage, table in profiles.stage_partition(activity, options=options).items():
+            assert table.stage is stage and len(table) > 0
+            expected[stage.value] = pca.barycenter_trajectory(table, model)
+
+        assert sorted(p.name for p in out.glob("trajectory_*.svg")) == sorted(
+            f"trajectory_{label}.svg" for label in expected)
+        with (out / "trajectory.csv").open(newline="") as handle:
+            blocks = {}
+            for row in list(csv.reader(handle))[1:]:
+                blocks.setdefault(row[1], []).append(row)
+        assert list(blocks) == list(expected)
+        for label, points in expected.items():
+            assert blocks[label] == [
+                [str(p.year), label, *map(repr, p.coords[:2].tolist()),
+                 *map(repr, p.sigma[:2].tolist())] for p in points], label
 
 
 def test_traced_names_resolve():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sectorspace.errors import AnalysisError
-from sectorspace.ingest import StageClass
 from sectorspace.metrics import (
     average_distance_to_barycenter,
     distance_series,
@@ -19,7 +18,7 @@ from sectorspace.metrics import (
     spread_series,
 )
 from sectorspace.pca import BarycenterPoint, barycenter, fit_on_profiles, project
-from sectorspace.profiles import GroupSpec, ProfileTable, share_matrix
+from sectorspace.profiles import ProfileTable, group_profiles, share_matrix
 
 from conftest import make_investor, make_profiles
 
@@ -130,31 +129,30 @@ class TestDistanceSeries:
                     np.array([[0.0, 1.0]]), year=year, investor_ids=["acc0"]))
         return ProfileTable.concat(tables), investors
 
+    @staticmethod
+    def vc_vs_accelerator(profiles, investors):
+        return distance_series(group_profiles(profiles, "vc", investors),
+                               group_profiles(profiles, "accelerator", investors),
+                               "type:vc", "type:accelerator")
+
     def test_same_group_all_zero(self):
         profiles, investors = self.two_group_profiles()
-        series = distance_series(profiles, GroupSpec(investor_type="vc"),
-                                 GroupSpec(investor_type="vc"), investors=investors)
+        vc = group_profiles(profiles, "vc", investors)
+        series = distance_series(vc, vc, "type:vc", "type:vc")
         assert series.years == (2010, 2011, 2012)
         np.testing.assert_array_equal(series.distances, 0.0)
 
     def test_empty_years_omitted(self):
-        profiles, investors = self.two_group_profiles()
-        series = distance_series(profiles, GroupSpec(investor_type="vc"),
-                                 GroupSpec(investor_type="accelerator"),
-                                 investors=investors)
+        series = self.vc_vs_accelerator(*self.two_group_profiles())
+        assert (series.label_a, series.label_b) == ("type:vc", "type:accelerator")
         assert series.years == (2010, 2012)
         assert all(d > 0 for d in series.distances)
 
     def test_no_common_year_is_error(self):
-        _, investors = self.two_group_profiles()
-        disjoint = ProfileTable.concat([
-            make_profiles(np.eye(2), year=2012, investor_ids=["vc0", "vc1"]),
-            make_profiles(np.array([[0.0, 1.0]]), year=2010, investor_ids=["acc0"]),
-        ])
-        with pytest.raises(AnalysisError, match="no active year"):
-            distance_series(disjoint, GroupSpec(investor_type="vc"),
-                            GroupSpec(investor_type="accelerator"),
-                            investors=investors)
+        vc = make_profiles(np.eye(2), year=2012, investor_ids=["vc0", "vc1"])
+        accelerator = make_profiles(np.array([[0.0, 1.0]]), year=2010, investor_ids=["acc0"])
+        with pytest.raises(AnalysisError, match="vc and acc share no active year"):
+            distance_series(vc, accelerator, "vc", "acc")
 
     def test_minimum_year(self):
         profiles, investors = self.two_group_profiles()
@@ -165,9 +163,7 @@ class TestDistanceSeries:
             make_profiles(np.array([[0.1, 0.9], [0.0, 1.0]]), year=2012,
                           investor_ids=["vc0", "vc1"]),
         ])
-        series = distance_series(profiles, GroupSpec(investor_type="vc"),
-                                 GroupSpec(investor_type="accelerator"),
-                                 investors=investors)
+        series = self.vc_vs_accelerator(profiles, investors)
         assert series.minimum_year() == 2012
 
 
@@ -271,12 +267,11 @@ class TestSpread:
             np.linalg.norm(shares[0] - center), np.linalg.norm(shares[1] - center)])
         assert mean == pytest.approx(expected, abs=1e-12)
 
-    def test_series_skips_thin_years_and_stage_profiles(self):
+    def test_series_skips_thin_years(self):
         profiles = ProfileTable.concat([
             make_profiles(np.eye(2), year=2010),
             make_profiles(np.array([[0.5, 0.5]]), year=2011),
             make_profiles(np.eye(2), year=2012),
-            make_profiles(np.eye(2), year=2012, stage=StageClass.SEED),
         ])
         series = spread_series(profiles)
         assert [year for year, _, _ in series] == [2010, 2012]

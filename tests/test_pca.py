@@ -279,16 +279,19 @@ class TestTrajectory:
                                    atol=1e-12)
 
     def test_stage_selection(self):
+        # a stage view is its own table, and its trajectory reads its rows alone
         base = make_profiles(np.eye(2), year=2010)
-        seed = make_profiles(np.eye(2)[::-1], year=2010, stage=StageClass.SEED)
+        seed = make_profiles(np.array([[1.0, 0.0]]), year=2010, stage=StageClass.SEED)
         model = fit_on_profiles(
             ProfileTable.concat([base, make_profiles(np.eye(2), year=2011)]), 2)
-        mixed = ProfileTable.concat([base, seed])
-        all_points = barycenter_trajectory(mixed, model)
-        seed_points = barycenter_trajectory(mixed, model, stage=StageClass.SEED)
+        all_points = barycenter_trajectory(base, model)
+        seed_points = barycenter_trajectory(seed, model)
         assert len(all_points) == len(seed_points) == 1
-        with pytest.raises(AnalysisError):
-            barycenter_trajectory(base, model, stage=StageClass.SERIES_A)
+        np.testing.assert_allclose(seed_points[0].coords, project(model, np.array([1.0, 0.0])),
+                                   atol=1e-12)
+        assert not np.allclose(seed_points[0].coords, all_points[0].coords)
+        with pytest.raises(AnalysisError, match="no profiles"):
+            barycenter_trajectory(seed.take(slice(0, 0)), model)
 
     def test_monotone_drift(self):
         profiles = self.drifting_profiles()

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from sectorspace.errors import AnalysisError
 from sectorspace.ingest import StageClass, classify_stage
 from sectorspace.profiles import (
-    STAGE_SLOTS,
-    GroupSpec,
     ProfileOptions,
     ProfileTable,
     SectorActivity,
@@ -122,7 +120,7 @@ class TestBuildProfiles:
                                    stage_filter=StageClass.SEED),
         )
         assert labels(seed_only) == [("i1", 2010)]
-        assert seed_only.slots.tolist() == [STAGE_SLOTS[StageClass.SEED]]
+        assert seed_only.stage is StageClass.SEED
 
     def test_exclude_modes(self, small_ontology):
         """An excluded sector's dimension is dropped; its share of the split is lost."""
@@ -214,9 +212,9 @@ def reference_profiles(dataset, options):
     keys = [key for key in sorted(acc) if acc[key][0].sum() > 0]
     return ProfileTable(
         sectors=sectors,
+        stage=options.stage_filter,
         investor_ids=np.array([iid for iid, _ in keys], dtype=str),
         years=np.array([year for _, year in keys], dtype=int),
-        slots=np.full(len(keys), STAGE_SLOTS[options.stage_filter]),
         rounds=np.array([acc[key][0] for key in keys]).reshape(len(keys), len(sectors)),
         amounts=np.array([acc[key][1] for key in keys]).reshape(len(keys), len(sectors)),
     )
@@ -231,7 +229,7 @@ def assert_same_profiles(got, expected):
     assert got.sectors == expected.sectors
     assert labels(got) == labels(expected)
     assert got.years.dtype.kind == "i"
-    assert got.slots.tolist() == expected.slots.tolist()
+    assert got.stage is expected.stage
     for name in ("rounds", "amounts"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -296,47 +294,36 @@ def test_stage_partition_sums_to_unfiltered(tiny_activity):
 class TestGroupProfiles:
     def test_type_selector(self, tiny_dataset, tiny_activity):
         profiles = build_profiles(tiny_activity, options=NO_EXCLUDE)
-        accel = group_profiles(profiles, GroupSpec(investor_type="accelerator"),
-                               tiny_dataset.investor_by_id)
+        accel = group_profiles(profiles, "accelerator", tiny_dataset.investor_by_id)
         assert set(accel.investor_ids.tolist()) == {"i2"}
 
-    def test_stage_selector_equals_filtered_build(self, tiny_activity):
+    def test_stage_table_keeps_only_its_stage_rows(self, tiny_dataset, tiny_activity):
         parts = stage_partition(tiny_activity, options=NO_EXCLUDE)
-        pool = ProfileTable.concat([build_profiles(tiny_activity, options=NO_EXCLUDE),
-                                    parts[StageClass.SEED]])
-        via_group = group_profiles(pool, GroupSpec(stage=StageClass.SEED))
-        assert_same_profiles(via_group, parts[StageClass.SEED])
+        investors = tiny_dataset.investor_by_id
+        series_a = group_profiles(parts[StageClass.SERIES_A], "accelerator", investors)
+        assert series_a.stage is StageClass.SERIES_A
+        assert labels(series_a) == [("i2", 2010)]  # not the 2012 series-b row
+        assert_same_profiles(series_a, parts[StageClass.SERIES_A].take([1]))
+        # i1, the one vc, has no series-b round
+        assert not len(group_profiles(parts[StageClass.SERIES_B], "vc", investors))
 
     def test_unknown_label_rejected(self, tiny_dataset, tiny_activity):
         profiles = build_profiles(tiny_activity, options=NO_EXCLUDE)
         with pytest.raises(AnalysisError, match="sovereign_fund"):
-            group_profiles(profiles, GroupSpec(investor_type="sovereign_fund"),
-                           tiny_dataset.investor_by_id)
-        with pytest.raises(AnalysisError, match="investor table"):
-            group_profiles(profiles, GroupSpec(investor_type="vc"))
+            group_profiles(profiles, "sovereign_fund", tiny_dataset.investor_by_id)
 
     def test_sizes_match_row_scan(self, tiny_dataset, tiny_activity):
-        # stage rows in the pool never match a type selector
-        profiles = ProfileTable.concat([
-            build_profiles(tiny_activity, options=NO_EXCLUDE),
-            *stage_partition(tiny_activity, options=NO_EXCLUDE).values()])
-        for type_label in ("vc", "accelerator"):
-            got = group_profiles(profiles, GroupSpec(investor_type=type_label),
-                                 tiny_dataset.investor_by_id)
-            expected = [
-                row for row, (iid, slot) in enumerate(zip(profiles.investor_ids.tolist(),
-                                                          profiles.slots.tolist()))
-                if slot == 0 and tiny_dataset.investor_by_id[iid].type_label == type_label
-            ]
-            assert 0 < len(expected) < len(profiles)
-            assert_same_profiles(got, profiles.take(expected))
-
-    def test_spec_is_exclusive(self):
-        with pytest.raises(AnalysisError):
-            GroupSpec(investor_type="vc", stage=StageClass.SEED)
-        assert GroupSpec().label() == "all"
-        assert GroupSpec(investor_type="vc").label() == "type:vc"
-        assert GroupSpec(stage=StageClass.SEED).label() == "stage:seed"
+        investors = tiny_dataset.investor_by_id
+        tables = [build_profiles(tiny_activity, options=NO_EXCLUDE),
+                  *stage_partition(tiny_activity, options=NO_EXCLUDE).values()]
+        for profiles in tables:
+            for type_label in ("vc", "accelerator"):
+                got = group_profiles(profiles, type_label, investors)
+                expected = [row for row, iid in enumerate(profiles.investor_ids.tolist())
+                            if investors[iid].type_label == type_label]
+                assert_same_profiles(got, profiles.take(expected))
+        unfiltered = tables[0]
+        assert 0 < len(group_profiles(unfiltered, "vc", investors)) < len(unfiltered)
 
 
 def test_share_matrix_rows_sum_to_one(tiny_activity):
@@ -349,3 +336,15 @@ def test_share_matrix_rows_sum_to_one(tiny_activity):
     idle = replace(profiles.take([0]), rounds=np.zeros((1, len(TAGS4))))
     with pytest.raises(AnalysisError, match="all-zero strategy vector"):
         share_matrix(ProfileTable.concat([profiles, idle]))
+
+
+def test_concat_rejects_differing_stages(tiny_activity):
+    parts = stage_partition(tiny_activity, options=NO_EXCLUDE)
+    unfiltered = build_profiles(tiny_activity, options=NO_EXCLUDE)
+    with pytest.raises(AnalysisError, match="differing stages"):
+        ProfileTable.concat([unfiltered, parts[StageClass.SEED]])
+    with pytest.raises(AnalysisError, match="differing stages"):
+        ProfileTable.concat([parts[StageClass.SEED], parts[StageClass.SERIES_A]])
+    seed = parts[StageClass.SEED]
+    joined = ProfileTable.concat([seed, seed])
+    assert joined.stage is StageClass.SEED and len(joined) == 2 * len(seed)

@@ -21,7 +21,7 @@ from conftest import make_profiles
 from sectorspace import reports, svgplot
 from sectorspace.metrics import DistanceSeries, HeatmapGrid
 from sectorspace.pca import PCAModel, StandardizationParams, TrajectoryPoint
-from sectorspace.profiles import N_SLOTS, SLOT_STAGES, GroupSpec, ProfileTable, StageClass
+from sectorspace.profiles import ProfileTable, StageClass
 from sectorspace.reports import (
     sha256_digest,
     write_distances,
@@ -235,8 +235,8 @@ class TestWriters:
 
     def test_distances(self, tmp_path):
         series = DistanceSeries(
-            group_a=GroupSpec(),
-            group_b=GroupSpec(investor_type="vc"),
+            label_a="all",
+            label_b="type:vc",
             entries=((2010, 1.5, 0.1), (2011, 2.5, 0.2)),
         )
         got = read_csv(write_distances(tmp_path / "d.csv", [series]))
@@ -326,19 +326,18 @@ class TestCellOracle:
         investor_ids = data.draw(st.lists(texts.filter(bool), min_size=n, max_size=n))
         profiles = ProfileTable(
             sectors=sectors,
+            stage=data.draw(st.sampled_from([None, *StageClass])),
             investor_ids=np.array(investor_ids, dtype=str).reshape(n),
             years=np.array(data.draw(st.lists(st.integers(1990, 2030), min_size=n,
                                               max_size=n)), dtype=np.int64),
-            slots=np.array(data.draw(st.lists(st.integers(0, N_SLOTS - 1), min_size=n,
-                                              max_size=n)), dtype=np.intp),
             # zero cells, -0.0 included, are skipped; NaN cells are not
             rounds=np.where(float_array(data, (n, p)) > 0, float_array(data, (n, p)), 0.0),
             amounts=float_array(data, (n, p)),
         )
         path = write_profiles(tmp_path_factory.mktemp("profiles") / "p.csv", profiles)
-        labels = ["all" if stage is None else stage.value for stage in SLOT_STAGES]
+        label = "all" if profiles.stage is None else profiles.stage.value
         expected = [
-            [profiles.investor_ids[r], profiles.years[r], labels[profiles.slots[r]],
+            [profiles.investor_ids[r], profiles.years[r], label,
              sectors[c], profiles.rounds[r, c], profiles.amounts[r, c]]
             for r in range(n) for c in range(p) if profiles.rounds[r, c] != 0
         ]

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorspace.errors import AnalysisError
-from sectorspace.ingest import StageClass
 from sectorspace.metrics import (
     HeatmapGrid,
     euclidean_distance,
@@ -31,26 +30,24 @@ from sectorspace.pca import (
     fit_on_profiles,
     standardize,
 )
-from sectorspace.profiles import STAGE_SLOTS, ProfileTable, profiles_by_year
+from sectorspace.profiles import ProfileTable, profiles_by_year
 from sectorspace.tca import StrategyTensor, build_tensor
 
 SECTORS = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
 INVESTORS = ("i1", "i2", "i3", "i4", "i5")
-SLOTS = tuple(STAGE_SLOTS[stage] for stage in (None, None, StageClass.SEED,
-                                               StageClass.SERIES_A))
 COUNTS = st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 1.0, 2.0, 7.0)),
                    st.floats(0.0, 50.0, allow_subnormal=False))
 
 
 # --- copies of the per-profile loops, run over a table's rows ---------------
 
-Row = namedtuple("Row", "investor_id year slot sectors rounds_by_sector")
+Row = namedtuple("Row", "investor_id year sectors rounds_by_sector")
 
 
 def rows(table):
     """One record per table row, in table order."""
-    return [Row(iid, year, slot, table.sectors, counts) for iid, year, slot, counts in zip(
-        table.investor_ids.tolist(), table.years.tolist(), table.slots.tolist(), table.rounds)]
+    return [Row(iid, year, table.sectors, counts) for iid, year, counts in zip(
+        table.investor_ids.tolist(), table.years.tolist(), table.rounds)]
 
 
 def old_by_year(profiles):
@@ -111,7 +108,7 @@ def old_bin_edges(points, n_bins, lo_pct, hi_pct):
 
 
 def old_heatmap_grid(profiles, model, n_x, n_y):
-    by_year = old_by_year([p for p in profiles if p.slot == 0])
+    by_year = old_by_year(profiles)
     if not by_year:
         raise AnalysisError("no profiles to bin")
     everything = np.vstack([old_project(model, old_normalized(p))
@@ -125,7 +122,7 @@ def old_heatmap_grid(profiles, model, n_x, n_y):
 
 def old_spread_series(profiles):
     out = []
-    for year, year_profiles in old_by_year([p for p in profiles if p.slot == 0]).items():
+    for year, year_profiles in old_by_year(profiles).items():
         if len(year_profiles) < 2:
             continue
         center = old_barycenter(year_profiles)
@@ -211,10 +208,10 @@ def profile_tables(draw):
             row[draw(st.sampled_from(live))] = 1 / 3
     return sectors, ProfileTable(
         sectors=sectors,
+        stage=None,
         investor_ids=np.array(draw(st.lists(st.sampled_from(INVESTORS), min_size=n,
                                             max_size=n)), dtype=str),
         years=np.array(draw(st.lists(st.integers(2010, 2013), min_size=n, max_size=n))),
-        slots=np.array(draw(st.lists(st.sampled_from(SLOTS), min_size=n, max_size=n))),
         rounds=counts,
         amounts=counts * 1e6,
     )
@@ -265,8 +262,7 @@ def test_tensor_rejects_differing_sector_orders():
     """Tables over different sector orders cannot be joined into one tensor input."""
     def table(iid, year, sectors):
         counts = np.array([[1.0, 2.0]])
-        return ProfileTable(sectors, np.array([iid]), np.array([year]), np.array([0]),
-                            counts, counts)
+        return ProfileTable(sectors, None, np.array([iid]), np.array([year]), counts, counts)
 
     first = table("i1", 2010, ("Alpha", "Beta"))
     second = table("i2", 2011, ("Beta", "Alpha"))

@@ -23,7 +23,7 @@ def test_study_runs_and_finds_the_planted_turn(tmp_path):
     assert turn, proc.stdout
     found, planted = map(int, turn.groups())
     assert abs(found - planted) <= 1
-    # the stage study joins the unfiltered table with the four stage views
+    # the stage study measures each of the four stage tables against the accelerators
     for stage in ("seed", "series_a", "series_b", "series_c_plus"):
         assert re.search(rf"^  {stage} +min distance", proc.stdout, re.M), stage
 
