@@ -1,9 +1,9 @@
 """CSV artifacts and run manifests.
 
 All writers are deterministic: every cell reaches :mod:`csv` as a
-``str``, ``int`` or ``float`` (arrays go through ``.tolist()``), so floats
-are rendered with ``repr`` (shortest round-tripping form); rows keep a
-fixed order, line endings are ``\\n``, and files land atomically via a
+``str``, ``int``, ``bool`` or ``float`` (arrays go through ``.tolist()``),
+so floats are rendered with ``repr`` (shortest round-tripping form); rows
+keep a fixed order, line endings are ``\\n``, and files land atomically via a
 same-directory temp file created with the umask applied, as ``open()``
 would. Rerunning a pipeline with identical inputs therefore reproduces
 every byte.
@@ -122,13 +122,15 @@ def write_tca_factors(path, model: CPModel) -> Path:
 
 def write_tca_diagnostics(path, diagnostics: FitDiagnostics) -> Path:
     rows = [
-        [rank, restart, error, sweeps, diagnostics.similarity[rank]]
+        [rank, restart, error, sweeps, converged, diagnostics.similarity[rank]]
         for rank in diagnostics.ranks
-        for restart, (error, sweeps) in enumerate(zip(
+        for restart, (error, sweeps, converged) in enumerate(zip(
             diagnostics.restart_errors[rank].tolist(),
-            diagnostics.restart_sweeps[rank].tolist()))
+            diagnostics.restart_sweeps[rank].tolist(),
+            diagnostics.restart_converged[rank].tolist()))
     ]
-    return write_rows(path, ["R", "restart", "error", "sweeps", "similarity"], rows)
+    return write_rows(path, ["R", "restart", "error", "sweeps", "converged", "similarity"],
+                      rows)
 
 
 def write_top_investors(path, tables: dict[int, list]) -> Path:

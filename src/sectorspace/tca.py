@@ -11,6 +11,14 @@ a positive largest-|entry| sign (the temporal column absorbs the flips),
 and components sort by non-increasing weight with the temporal column as
 tiebreak. This pins down the CP scaling/sign/permutation freedoms so that
 equal fits compare equal.
+
+CP-ALS extrapolates (Bro 1998, as in tensorly's ``parafac(linesearch=True)``):
+from sweep 6 on, every even sweep also tries the point ``X0 + sweep**(1/p) *
+(X - X0)`` of all three factors, from where the sweep started to where it
+ended, and keeps it only if its error is strictly below the sweep's; ``p``
+starts at 2 and grows by 1 after 4 rejections in a row. The error history
+keeps one entry per ALS sweep and never rises, and sweep counts count ALS
+sweeps only.
 """
 from __future__ import annotations
 
@@ -35,6 +43,12 @@ RIDGE_EPS = 1e-10
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
 DEFAULT_SIMILARITY_THRESHOLD = 0.8
+# extrapolation schedule of cp_als: the first sweep that tries a point, the
+# starting root p of the step length sweep**(1/p), and the rejections in a
+# row that raise p by 1
+EXTRAPOLATE_FROM = 6
+EXTRAPOLATE_POWER = 2
+EXTRAPOLATE_PATIENCE = 4
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,7 @@ class CPModel:
     sectors: tuple[str, ...] = ()
     years: tuple[int, ...] = ()
     error_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+    converged: bool = False
 
     @property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,13 +175,23 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     Factors start i.i.d. uniform on [-1, 1] from the seeded generator, so a
     fixed seed reproduces the model bit for bit. Iteration stops when the
     relative change of the squared reconstruction error drops below ``tol``
-    or after ``max_iter`` sweeps. Each factor update multiplies its MTTKRP
-    by the inverse of its R x R Gram; a Gram that LU finds singular gets a
-    ridge of ``1e-10`` (with one warning per fit). The sector and temporal
-    MTTKRPs share one contraction of the tensor with the new investor
-    factor (a dimension tree; Phan, Tichavsky & Cichocki 2013). A tensor
-    holding non-finite values aborts before the first sweep, and a
-    non-finite error aborts the fit.
+    (the model is then ``converged``) or after ``max_iter`` sweeps. Each
+    factor update multiplies its MTTKRP by the inverse of its R x R Gram; a
+    Gram that LU finds singular gets a ridge of ``1e-10`` (with one warning
+    per fit). The sector and temporal MTTKRPs share one contraction of the
+    tensor with the new investor factor (a dimension tree; Phan, Tichavsky
+    & Cichocki 2013). A tensor holding non-finite values aborts before the
+    first sweep, and a non-finite error aborts the fit.
+
+    From sweep ``EXTRAPOLATE_FROM`` on, every even sweep also tries the
+    extrapolated point ``X0 + sweep**(1/p) * (X - X0)`` of all three factors
+    (``X0`` before the sweep, ``X`` after it). Its error comes from the same
+    Gram identity, and it replaces the sweep's factors only when that error
+    is strictly below the sweep's; a non-finite point is rejected.
+    ``p`` starts at ``EXTRAPOLATE_POWER`` and grows by 1 after
+    ``EXTRAPOLATE_PATIENCE`` rejections in a row. An accepted point's
+    investor MTTKRP is the next sweep's right-hand side. ``error_history``
+    holds one entry per ALS sweep, the error of the factors kept.
     """
     values = tensor.values if isinstance(tensor, StrategyTensor) else np.asarray(tensor, float)
     n, s, k = values.shape
@@ -174,6 +199,8 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
         raise AnalysisError(f"rank must be in [1, {min(n, s * k)}], got {rank}")
     if tol <= 0:
         raise AnalysisError("tol must be positive")
+    if max_iter < 1:
+        raise AnalysisError(f"max_iter must be at least 1, got {max_iter}")
 
     if not np.isfinite(values).all():
         raise AnalysisError("tensor holds non-finite values")
@@ -190,11 +217,19 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     warned = [False]
     errors = []
     prev_err_sq = None
+    converged = False
     tiny = np.finfo(float).tiny
+    power, rejected = EXTRAPOLATE_POWER, 0
     # each Gram is formed once, right after its factor changes
     btb, ctc = b.T @ b, c.T @ c
-    for _ in range(max_iter):
-        a = _solve_factor(unfold_0 @ khatri_rao(b, c), btb * ctc, warned)
+    m_a = None  # the investor MTTKRP, when an accepted extrapolation formed it
+    for sweep in range(max_iter):
+        extrapolate = sweep >= EXTRAPOLATE_FROM and sweep % 2 == 0
+        start = a, b, c
+        if m_a is None:
+            m_a = unfold_0 @ khatri_rao(b, c)
+        a = _solve_factor(m_a, btb * ctc, warned)
+        m_a = None
         ata = a.T @ a
         # the tensor contracted with the new a, shared by both remaining MTTKRPs
         p = (a.T @ unfold_0).reshape(rank, s, k)
@@ -211,9 +246,29 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
         if not math.isfinite(err_sq):
             raise AnalysisError("ALS produced a non-finite error")
         err_sq = max(err_sq, 0.0)
+
+        if extrapolate:
+            jump = sweep ** (1.0 / power)
+            with np.errstate(all="ignore"):
+                a_t, b_t, c_t = (x0 + jump * (x - x0) for x0, x in zip(start, (a, b, c)))
+                m_t = unfold_0 @ khatri_rao(b_t, c_t)
+                grams = a_t.T @ a_t, b_t.T @ b_t, c_t.T @ c_t
+                t_err_sq = (norm_sq - 2.0 * float(np.sum(a_t * m_t))
+                            + float(np.sum(grams[0] * grams[1] * grams[2])))
+            if math.isfinite(t_err_sq) and t_err_sq < err_sq:
+                a, b, c, m_a = a_t, b_t, c_t, m_t
+                ata, btb, ctc = grams
+                err_sq = max(t_err_sq, 0.0)
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == EXTRAPOLATE_PATIENCE:
+                    power, rejected = power + 1, 0
+
         errors.append(math.sqrt(err_sq / norm_sq))
         if prev_err_sq is not None:
             if abs(prev_err_sq - err_sq) < tol * max(prev_err_sq, tiny):
+                converged = True
                 break
         prev_err_sq = err_sq
 
@@ -229,6 +284,7 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
         sectors=meta.sectors if meta else (),
         years=meta.years if meta else (),
         error_history=np.array(errors),
+        converged=converged,
     )
 
 
@@ -340,6 +396,7 @@ class FitDiagnostics:
     ranks: tuple[int, ...]
     restart_errors: dict[int, np.ndarray]
     restart_sweeps: dict[int, np.ndarray]
+    restart_converged: dict[int, np.ndarray]
     best_error: dict[int, float]
     similarity: dict[int, float]
     chosen_rank: int
@@ -385,7 +442,8 @@ def rank_scan(tensor: StrategyTensor | np.ndarray, ranks, restarts: int = 5, see
     """Scan candidate ranks with multi-restart ALS and pick the working rank.
 
     For each rank the scan keeps every restart's final error (the last
-    entry of the fit's Gram-identity error history) and sweep count, the
+    entry of the fit's Gram-identity error history), sweep count and
+    whether its ``tol`` test ended it (a capped fit did not converge), the
     best-restart model and the cross-restart model similarity. The chosen
     rank maximizes the error drop |err(R) - err(R-1)| achieved by stepping
     up to R (the first scanned rank is credited with its drop from the
@@ -403,6 +461,7 @@ def rank_scan(tensor: StrategyTensor | np.ndarray, ranks, restarts: int = 5, see
 
     restart_errors: dict[int, np.ndarray] = {}
     restart_sweeps: dict[int, np.ndarray] = {}
+    restart_converged: dict[int, np.ndarray] = {}
     best_error: dict[int, float] = {}
     similarity: dict[int, float] = {}
     best_models: dict[int, CPModel] = {}
@@ -415,6 +474,7 @@ def rank_scan(tensor: StrategyTensor | np.ndarray, ranks, restarts: int = 5, see
         best = int(np.argmin(errors))
         restart_errors[rank] = errors
         restart_sweeps[rank] = np.array([len(m.error_history) for m in models])
+        restart_converged[rank] = np.array([m.converged for m in models])
         best_error[rank] = float(errors[best])
         best_models[rank] = models[best]
         similarity[rank] = model_similarity(models)
@@ -424,6 +484,7 @@ def rank_scan(tensor: StrategyTensor | np.ndarray, ranks, restarts: int = 5, see
         ranks=ranks,
         restart_errors=restart_errors,
         restart_sweeps=restart_sweeps,
+        restart_converged=restart_converged,
         best_error=best_error,
         similarity=similarity,
         chosen_rank=chosen,

@@ -261,8 +261,12 @@ class TestTca:
             rows = list(csv.reader(handle))
         # 5 ranks x 8 default restarts
         assert len(rows) == 1 + 40
-        assert rows[0] == ["R", "restart", "error", "sweeps", "similarity"]
+        assert rows[0] == ["R", "restart", "error", "sweeps", "converged", "similarity"]
         assert all(1 <= int(row[3]) <= tca.DEFAULT_MAX_ITER for row in rows[1:])
+        # a fit the tol test did not stop ran to the cap
+        assert all(row[4] == "True" or int(row[3]) == tca.DEFAULT_MAX_ITER
+                   for row in rows[1:])
+        assert {row[4] for row in rows[1:]} <= {"True", "False"}
 
     def test_infeasible_r_range(self, smoke_dir, tmp_path, capsys):
         code = cli.main(["tca", *table_flags(smoke_dir),

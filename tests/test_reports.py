@@ -213,15 +213,16 @@ class TestWriters:
             ranks=(1, 2),
             restart_errors={1: np.array([0.5, 0.4]), 2: np.array([0.2, 0.25])},
             restart_sweeps={1: np.array([3, 4]), 2: np.array([12, 500])},
+            restart_converged={1: np.array([True, True]), 2: np.array([True, False])},
             best_error={1: 0.4, 2: 0.2},
             similarity={1: 0.9, 2: 0.8},
             chosen_rank=2,
             best_models={},
         )
         got = read_csv(write_tca_diagnostics(tmp_path / "d.csv", diagnostics))
-        assert got[0] == ["R", "restart", "error", "sweeps", "similarity"]
-        assert got[1] == ["1", "0", "0.5", "3", "0.9"]
-        assert got[4] == ["2", "1", "0.25", "500", "0.8"]
+        assert got[0] == ["R", "restart", "error", "sweeps", "converged", "similarity"]
+        assert got[1] == ["1", "0", "0.5", "3", "True", "0.9"]
+        assert got[4] == ["2", "1", "0.25", "500", "False", "0.8"]
 
     def test_top_investors_sorted_by_component(self, tmp_path):
         tables = {

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorspace.errors import AnalysisError
 from sectorspace.profiles import ProfileTable
@@ -134,12 +136,17 @@ def test_khatri_rao_columns():
         np.testing.assert_allclose(kr[:, r], np.kron(x[:, r], y[:, r]), atol=1e-15)
 
 
-def reference_error_history(tensor, rank, seed, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Error history of CP-ALS whose factor updates check the Gram's condition
-    number (ridge above 1e12) and LU-solve, with every Gram recomputed where
-    it is used, and each update's MTTKRP takes its own Khatri-Rao product:
-    the update that ``cp_als``'s Gram inverses and shared contraction stand
-    in for."""
+def reference_error_history(tensor, rank, seed, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                            extrapolate=True):
+    """Error history of extrapolated CP-ALS, written for clarity: each factor
+    update checks the Gram's condition number (ridge above 1e12) and
+    LU-solves, with every Gram recomputed where it is used, and each update's
+    MTTKRP takes its own Khatri-Rao product of its own unfolding. From sweep
+    6 on, every even sweep tries ``X0 + sweep**(1/p) * (X - X0)`` (``p`` from
+    2, up by 1 after 4 rejections in a row), scored by dense reconstruction
+    and kept when its error is strictly below the sweep's. This is the fit
+    that ``cp_als``'s Gram inverses, shared contraction and reused MTTKRP
+    stand in for; ``extrapolate=False`` gives plain ALS."""
     norm_sq = float(np.sum(tensor * tensor))
     unfold = [np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1) for mode in range(3)]
     rng = np.random.default_rng(seed)
@@ -153,12 +160,25 @@ def reference_error_history(tensor, rank, seed, tol=DEFAULT_TOL, max_iter=DEFAUL
 
     errors = []
     prev_err_sq = None
-    for _ in range(max_iter):
+    power, rejected = 2, 0
+    for sweep in range(max_iter):
+        before = a, b, c
         a, _ = update(unfold[0], khatri_rao(b, c), (b.T @ b) * (c.T @ c))
         b, _ = update(unfold[1], khatri_rao(a, c), (a.T @ a) * (c.T @ c))
         c, m_c = update(unfold[2], khatri_rao(a, b), (a.T @ a) * (b.T @ b))
         fit_sq = float(np.sum((a.T @ a) * (b.T @ b) * (c.T @ c)))
         err_sq = max(norm_sq - 2.0 * float(np.sum(c * m_c)) + fit_sq, 0.0)
+        if extrapolate and sweep >= 6 and sweep % 2 == 0:
+            jump = sweep ** (1.0 / power)
+            point = [x0 + jump * (x - x0) for x0, x in zip(before, (a, b, c))]
+            dense = np.einsum("ir,jr,kr->ijk", *point)
+            point_err_sq = float(np.sum((tensor - dense) ** 2))
+            if point_err_sq < err_sq:
+                (a, b, c), err_sq, rejected = point, point_err_sq, 0
+            else:
+                rejected += 1
+                if rejected == 4:
+                    power, rejected = power + 1, 0
         errors.append(np.sqrt(err_sq / norm_sq))
         if prev_err_sq is not None and (abs(prev_err_sq - err_sq)
                                         < tol * max(prev_err_sq, np.finfo(float).tiny)):
@@ -220,6 +240,9 @@ class TestCPALS:
             cp_als(tensor, 1, seed=0, tol=0.0)
         with pytest.raises(AnalysisError, match="all-zero"):
             cp_als(np.zeros((4, 3, 2)), 1, seed=0)
+        for max_iter in (0, -1):
+            with pytest.raises(AnalysisError, match="max_iter"):
+                cp_als(tensor, 1, seed=0, max_iter=max_iter)
 
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("seed", range(5))
@@ -229,9 +252,38 @@ class TestCPALS:
         # a capped fit stops in a swamp, where last-bit differences can move
         # the stopping sweep; only fits that converge are an oracle
         assert len(expected) < DEFAULT_MAX_ITER
+        model = cp_als(tensor, rank, seed=seed)
+        assert model.converged
+        assert len(model.error_history) == len(expected)
+        np.testing.assert_allclose(model.error_history, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sweeps_before_the_first_extrapolation_are_plain_als(self, seed, rank):
+        tensor, _ = generate_cp_tensor(20, 8, 6, 3, noise=0.05, seed=seed)
+        plain = reference_error_history(tensor, rank, seed, max_iter=6, extrapolate=False)
+        assert len(plain) == 6
         got = cp_als(tensor, rank, seed=seed).error_history
-        assert len(got) == len(expected)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got[:6], plain, rtol=0, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 5),
+           noise=st.sampled_from([0.0, 0.05, 0.5]))
+    def test_error_history_never_rises(self, seed, rank, noise):
+        tensor, _ = generate_cp_tensor(15, 6, 5, 3, noise=noise, seed=seed)
+        history = cp_als(tensor, rank, seed=seed, tol=1e-9, max_iter=300).error_history
+        # the Gram identity rounds the squared error at ~1e-16 of the tensor's
+        # squared norm, which near an exact fit is ~1e-8 of the error itself
+        assert np.all(np.diff(history ** 2) <= 1e-13)
+
+    def test_converged_flags_the_tol_stop(self):
+        tensor, _ = generate_cp_tensor(15, 6, 4, 2, noise=0.05, seed=44)
+        model = cp_als(tensor, 2, seed=7)
+        assert model.converged
+        assert len(model.error_history) < DEFAULT_MAX_ITER
+        capped = cp_als(tensor, 2, seed=7, max_iter=3)
+        assert not capped.converged
+        assert len(capped.error_history) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tensor_aborts_before_first_sweep(self, bad, monkeypatch):
@@ -460,8 +512,13 @@ class TestRankScan:
             sweeps = planted_scan.restart_sweeps[r]
             assert sweeps.shape == (4,)
             assert ((sweeps >= 1) & (sweeps <= 2000)).all()
+            converged = planted_scan.restart_converged[r]
+            assert converged.dtype == bool and converged.shape == (4,)
+            # only the tol test can stop a fit short of max_iter
+            assert (converged | (sweeps == 2000)).all()
             best = int(np.argmin(planted_scan.restart_errors[r]))
             assert sweeps[best] == len(planted_scan.best_models[r].error_history)
+            assert converged[best] == planted_scan.best_models[r].converged
             assert planted_scan.best_models[r].rank == r
             assert planted_scan.best_error[r] == pytest.approx(
                 planted_scan.restart_errors[r].min())
@@ -477,6 +534,8 @@ class TestRankScan:
             rank_scan(tensor, [], restarts=3)
         with pytest.raises(AnalysisError, match="2 restarts"):
             rank_scan(tensor, [1], restarts=1)
+        with pytest.raises(AnalysisError, match="max_iter"):
+            rank_scan(tensor, [1], restarts=2, max_iter=0)
 
 
 class TestTopInvestors:
