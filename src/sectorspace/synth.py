@@ -5,18 +5,27 @@ planted CP factors for the tensor path, planted drifts, stage offsets,
 concentration windows and investor cohorts for the geometric path. The
 generators are deterministic per seed, byte for byte, and their output
 passes ingest validation with zero warnings.
+
+The bytes of an ecosystem rest on one contract: the order, kind and size
+of the calls :func:`generate_ecosystem` makes on its random stream (its
+docstring lists them). How the draws are then formatted into tables is
+free to change; the test suite checks the files against a row-at-a-time
+reference that consumes the same stream.
 """
 from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AnalysisError
-from .ingest import INVESTOR_COLUMNS, ROUND_COLUMNS, STARTUP_COLUMNS, StageClass
+from .ingest import (INVESTOR_COLUMNS, INVESTOR_TYPES, ROUND_COLUMNS, STARTUP_COLUMNS,
+                     StageClass)
 from .ontology import SectorOntology, dump_ontology
 from .reports import write_rows
 from .tca import CPModel, canonicalize
@@ -192,6 +201,15 @@ class ArchetypeSpec:
             raise AnalysisError(f"archetype {self.name!r}: mixture is not a probability vector")
         if self.activity_rate <= 0:
             raise AnalysisError(f"archetype {self.name!r}: activity rate must be positive")
+        if self.type_label not in INVESTOR_TYPES:
+            raise AnalysisError(f"archetype {self.name!r}: unknown investor type "
+                                f"{self.type_label!r}, expected one of {INVESTOR_TYPES}")
+        weights = self.stage_weights
+        if (not all(isinstance(stage, StageClass) for stage in weights)
+                or not all(math.isfinite(w) and w >= 0 for w in weights.values())
+                or sum(weights.values()) <= 0):
+            raise AnalysisError(f"archetype {self.name!r}: stage weights must map stages "
+                                "to finite non-negative weights with a positive sum")
         object.__setattr__(self, "sector_mixture", mixture)
 
 
@@ -265,6 +283,15 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     One startup is synthesized per round, carrying exactly the drawn
     sector tag, so planted sector labels survive ingestion unchanged.
     Identical config and seed give byte-identical files.
+
+    Draw order: one ``default_rng(config.seed)`` stream, consumed per
+    archetype, investor, year (inside the active window) and stage in
+    ``StageClass`` order as ``poisson`` (rounds that year), ``multinomial``
+    (split over stages), then for each stage with rounds ``choice``
+    (sectors), ``integers`` (months), ``integers`` (days) and
+    ``lognormal`` (amounts), each sized to that stage's rounds. Rounds are
+    numbered in the same order. The tables are formatted from the
+    concatenated draws after the loop, so only these calls decide the bytes.
     """
     config.validate()
     out_dir = Path(out_dir)
@@ -274,58 +301,67 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     stage_order = list(StageClass)
 
     investor_rows = []
-    startup_rows = []
-    round_rows = []
     archetype_of: dict[str, str] = {}
     cohorts: dict[str, list[str]] = {}
+    # one cell per investor, year and stage with rounds:
+    # (investor number, year, stage number, rounds), and the cell's draws
+    cells: list[tuple[int, int, int, int]] = []
+    drawn, months, days, amounts = [], [], [], []
 
-    serial = 0
-    investor_no = 0
     for arch in config.archetypes:
         stage_probs = np.array([arch.stage_weights.get(s, 0.0) for s in stage_order])
         stage_probs = stage_probs / stage_probs.sum()
+        active_years = [y for y in config.years
+                        if arch.active_window is None or y in arch.active_window]
+        mixtures: dict[tuple[StageClass, int], np.ndarray] = {}
         for _ in range(arch.count):
+            investor_no = len(investor_rows)
             investor_id = f"inv_{investor_no:05d}"
-            investor_no += 1
-            investor_rows.append([investor_id, f"{arch.name} {investor_no}", arch.type_label])
+            investor_rows.append([investor_id, f"{arch.name} {investor_no + 1}", arch.type_label])
             archetype_of[investor_id] = arch.name
             cohorts.setdefault(arch.name, []).append(investor_id)
-            for year in config.years:
-                if arch.active_window is not None and year not in arch.active_window:
-                    continue
+            for year in active_years:
                 n_rounds = int(rng.poisson(arch.activity_rate))
                 if n_rounds == 0:
                     continue
                 stage_counts = rng.multinomial(n_rounds, stage_probs)
-                for stage, n_stage in zip(stage_order, stage_counts):
+                for stage_no, n_stage in enumerate(stage_counts.tolist()):
                     if n_stage == 0:
                         continue
-                    mixture = mixture_for(config, arch, stage, year)
-                    drawn = rng.choice(config.n_sectors, size=n_stage, p=mixture)
-                    months = rng.integers(1, 13, size=n_stage)
-                    days = rng.integers(1, 29, size=n_stage)
-                    amounts = STAGE_AMOUNT_BASE[stage] * rng.lognormal(
-                        0.0, 0.4, size=n_stage
-                    )
-                    for j in range(n_stage):
-                        startup_id = f"stp_{serial:06d}"
-                        startup_rows.append([
-                            startup_id,
-                            f"Startup {serial + 1}",
-                            "USA",
-                            "active",
-                            dt.date(year, 1, 2).isoformat(),
-                            sectors[int(drawn[j])],
-                        ])
-                        round_rows.append([
-                            f"rnd_{serial:06d}",
-                            startup_id,
-                            dt.date(year, int(months[j]), int(days[j])).isoformat(),
-                            STAGE_LABELS[stage],
-                            repr(round(float(amounts[j]), 2)),
-                            investor_id,
-                        ])
-                        serial += 1
+                    stage = stage_order[stage_no]
+                    if (stage, year) not in mixtures:
+                        mixtures[stage, year] = mixture_for(config, arch, stage, year)
+                    drawn.append(rng.choice(config.n_sectors, size=n_stage,
+                                            p=mixtures[stage, year]))
+                    months.append(rng.integers(1, 13, size=n_stage))
+                    days.append(rng.integers(1, 29, size=n_stage))
+                    amounts.append(STAGE_AMOUNT_BASE[stage] * rng.lognormal(
+                        0.0, 0.4, size=n_stage))
+                    cells.append((investor_no, year, stage_no, n_stage))
+
+    def joined(parts):
+        return np.concatenate(parts or [np.zeros(0, dtype=np.int64)]).tolist()
+
+    cell_table = np.array(cells, dtype=np.int64).reshape(-1, 4)
+    investor_nos, years, stage_nos = np.repeat(
+        cell_table[:, :3], cell_table[:, 3], axis=0).T.tolist()
+    n = len(years)
+    investor_ids = [row[0] for row in investor_rows]
+    stage_labels = [STAGE_LABELS[stage] for stage in stage_order]
+    founded = {y: dt.date(y, 1, 2).isoformat() for y in config.years}
+    announced = {(y, m, d): dt.date(y, m, d).isoformat()
+                 for y in config.years for m in range(1, 13) for d in range(1, 29)}
+    startup_ids = [f"stp_{i:06d}" for i in range(n)]
+    startup_rows = zip(
+        startup_ids, [f"Startup {i + 1}" for i in range(n)], repeat("USA"),
+        repeat("active"), map(founded.__getitem__, years),
+        map(sectors.__getitem__, joined(drawn)))
+    round_rows = zip(
+        [f"rnd_{i:06d}" for i in range(n)], startup_ids,
+        map(announced.__getitem__, zip(years, joined(months), joined(days))),
+        map(stage_labels.__getitem__, stage_nos),
+        map(repr, map(round, joined(amounts), repeat(2))),
+        map(investor_ids.__getitem__, investor_nos))
 
     ontology = SectorOntology(parent_tags=sectors, version=f"synth-{config.name}")
     files = EcosystemFiles(

@@ -1,24 +1,35 @@
 """Planted-truth generators: tensors, ecosystems, calibration."""
 from __future__ import annotations
 
+import dataclasses
+import datetime as dt
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sectorspace.errors import AnalysisError
-from sectorspace.ingest import load_dataset, validate_dataset
+from sectorspace.ingest import (INVESTOR_COLUMNS, ROUND_COLUMNS, STARTUP_COLUMNS, StageClass,
+                                load_dataset, validate_dataset)
+from sectorspace.ontology import SectorOntology, dump_ontology
 from sectorspace.pca import barycenter
 from sectorspace.profiles import (ProfileOptions, SectorActivity, build_profiles,
                                   profiles_by_year)
+from sectorspace.reports import write_rows
 from sectorspace.synth import (
     SCENARIOS,
+    STAGE_AMOUNT_BASE,
+    STAGE_LABELS,
     ArchetypeSpec,
     ConcentrationSpec,
+    PlantedTruth,
     ScenarioConfig,
     baseline_scenario,
+    convergence_scenario,
     generate_cp_tensor,
     generate_ecosystem,
+    mixture_for,
 )
 from sectorspace.tca import cp_als, factor_match_score, reconstruction_error
 
@@ -28,8 +39,109 @@ from conftest import rows
 CHI2_CRIT_DF9 = 21.665994333461924
 
 
+FILE_NAMES = ("startups.csv", "rounds.csv", "investors.csv", "ontology.json", "truth.json")
+
+
 def load_ecosystem(files):
     return load_dataset(files.startups, files.rounds, files.investors, files.ontology)
+
+
+def reference_ecosystem(config, out_dir):
+    """Row-at-a-time oracle for :func:`generate_ecosystem`'s five files.
+
+    It consumes the random stream in the documented draw order and formats
+    each round as it is drawn, recomputing the mixture for every
+    investor-year-stage.
+    """
+    out_dir.mkdir(parents=True)
+    rng = np.random.default_rng(config.seed)
+    sectors = tuple(f"Sector {i:02d}" for i in range(config.n_sectors))
+    stage_order = list(StageClass)
+    investor_rows, startup_rows, round_rows = [], [], []
+    archetype_of, cohorts = {}, {}
+    serial = 0
+    investor_no = 0
+    for arch in config.archetypes:
+        stage_probs = np.array([arch.stage_weights.get(s, 0.0) for s in stage_order])
+        stage_probs = stage_probs / stage_probs.sum()
+        for _ in range(arch.count):
+            investor_id = f"inv_{investor_no:05d}"
+            investor_no += 1
+            investor_rows.append([investor_id, f"{arch.name} {investor_no}", arch.type_label])
+            archetype_of[investor_id] = arch.name
+            cohorts.setdefault(arch.name, []).append(investor_id)
+            for year in config.years:
+                if arch.active_window is not None and year not in arch.active_window:
+                    continue
+                n_rounds = int(rng.poisson(arch.activity_rate))
+                if n_rounds == 0:
+                    continue
+                stage_counts = rng.multinomial(n_rounds, stage_probs)
+                for stage, n_stage in zip(stage_order, stage_counts):
+                    if n_stage == 0:
+                        continue
+                    mixture = mixture_for(config, arch, stage, year)
+                    drawn = rng.choice(config.n_sectors, size=n_stage, p=mixture)
+                    months = rng.integers(1, 13, size=n_stage)
+                    days = rng.integers(1, 29, size=n_stage)
+                    amounts = STAGE_AMOUNT_BASE[stage] * rng.lognormal(0.0, 0.4, size=n_stage)
+                    for j in range(n_stage):
+                        startup_id = f"stp_{serial:06d}"
+                        startup_rows.append([
+                            startup_id, f"Startup {serial + 1}", "USA", "active",
+                            dt.date(year, 1, 2).isoformat(), sectors[int(drawn[j])],
+                        ])
+                        round_rows.append([
+                            f"rnd_{serial:06d}", startup_id,
+                            dt.date(year, int(months[j]), int(days[j])).isoformat(),
+                            STAGE_LABELS[stage], repr(round(float(amounts[j]), 2)),
+                            investor_id,
+                        ])
+                        serial += 1
+    write_rows(out_dir / "startups.csv", STARTUP_COLUMNS, startup_rows)
+    write_rows(out_dir / "rounds.csv", ROUND_COLUMNS, round_rows)
+    write_rows(out_dir / "investors.csv", INVESTOR_COLUMNS, investor_rows)
+    dump_ontology(SectorOntology(parent_tags=sectors, version=f"synth-{config.name}"),
+                  out_dir / "ontology.json")
+    special = next((a.name for a in config.archetypes if a.type_label == "accelerator"), None)
+    windows = [a.active_window[0] for a in config.archetypes if a.active_window is not None]
+    concentration = config.concentration
+    truth = PlantedTruth(
+        kind=config.name, seed=config.seed, archetype_of=archetype_of,
+        cohort_ids=tuple(cohorts.get(special, ())) if special else (),
+        turn_year=config.drift.turn_year if config.drift else None,
+        activation_year=min(windows, default=None),
+        concentration_window=(concentration.start, concentration.peak) if concentration else None,
+        concentration_year=concentration.peak if concentration else None,
+        drift_direction=config.drift.direction if config.drift else None,
+        sectors=sectors, years=tuple(config.years),
+    )
+    (out_dir / "truth.json").write_text(
+        json.dumps(truth.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _scaled_convergence(factor):
+    config = convergence_scenario(seed=0)
+    return dataclasses.replace(config, archetypes=tuple(
+        dataclasses.replace(a, count=a.count * factor) for a in config.archetypes))
+
+
+ORACLE_CONFIGS = {
+    **{f"{name}-{seed}": partial(factory, seed=seed)
+       for name, factory in SCENARIOS.items() for seed in range(3)},
+    "convergence-x3": partial(_scaled_convergence, 3),
+    "no-rounds": partial(baseline_scenario, seed=0, n_investors=2, rate=1e-9),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_CONFIGS))
+def test_files_match_row_at_a_time_reference(key, tmp_path):
+    config = ORACLE_CONFIGS[key]()
+    generate_ecosystem(config, tmp_path / "columnar")
+    reference_ecosystem(config, tmp_path / "reference")
+    for name in FILE_NAMES:
+        assert (tmp_path / "columnar" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
 
 
 class TestGenerateCPTensor:
@@ -80,6 +192,22 @@ class TestScenarioValidation:
             ArchetypeSpec("bad", "vc", 5, np.array([-0.1, 1.1]), 3.0)
         with pytest.raises(AnalysisError, match="rate"):
             ArchetypeSpec("bad", "vc", 5, np.array([0.5, 0.5]), 0.0)
+
+    @pytest.mark.parametrize("weights", [
+        {},
+        {StageClass.SEED: 0.0},
+        {StageClass.SEED: 1.0, StageClass.SERIES_A: -0.5},
+        {StageClass.SEED: float("nan")},
+        {StageClass.SEED: float("inf")},
+        {"seed": 1.0},
+    ])
+    def test_stage_weights_must_be_a_distribution(self, weights):
+        with pytest.raises(AnalysisError, match="stage weights"):
+            ArchetypeSpec("bad", "vc", 5, np.array([0.5, 0.5]), 3.0, stage_weights=weights)
+
+    def test_type_label_must_pass_ingest(self):
+        with pytest.raises(AnalysisError, match="investor type 'fund'"):
+            ArchetypeSpec("bad", "fund", 5, np.array([0.5, 0.5]), 3.0)
 
     def test_windows_must_overlap_years(self, tmp_path):
         arch = ArchetypeSpec("a", "vc", 3, np.array([0.5, 0.5]), 2.0,
