@@ -149,31 +149,21 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _load_and_filter(config: PipelineConfig, validate: bool
-                     ) -> tuple[ValidatedDataset, ValidatedDataset, list[str]]:
-    """Load the tables and filter them by country.
+def _load(config: PipelineConfig, stages=()
+          ) -> tuple[ValidatedDataset, ValidatedDataset]:
+    """The loaded dataset and the one filtered by ``--country``.
 
-    Returns the loaded dataset, the filtered one and the warnings of the
-    filtered one, which are computed when ``validate`` is set or under
-    ``--strict-tags`` (empty otherwise). ``--strict-tags`` makes unknown
-    tags an error.
+    The filtered one is checked against the flags of the ``stages`` to run:
+    every stage but ``profiles`` needs a kept round inside ``--years``.
+    ``--strict-tags`` makes unknown tags an error.
     """
     raw = load_dataset(config.startups, config.rounds, config.investors,
                        config.ontology)
     dataset = filter_startups(raw, country=config.country)
-    warnings = validate_dataset(dataset) if validate or config.strict_tags else []
-    unknown = [w for w in warnings if "unknown tag" in w]
-    if config.strict_tags and unknown:
-        raise SectorSpaceError("strict tags: " + "; ".join(unknown))
-    return raw, dataset, warnings
-
-
-def _load(config: PipelineConfig, stages=()) -> ValidatedDataset:
-    """The filtered dataset, checked against the flags of the ``stages`` to run.
-
-    Every stage but ``profiles`` needs a kept round inside ``--years``.
-    """
-    dataset = _load_and_filter(config, validate=False)[1]
+    if config.strict_tags:
+        unknown = [w for w in validate_dataset(dataset) if "unknown tag" in w]
+        if unknown:
+            raise SectorSpaceError("strict tags: " + "; ".join(unknown))
     if set(stages) - {"profiles"} and not any(
             day.year in config.years for day in dataset.rounds.announced.values):
         raise SectorSpaceError(
@@ -182,7 +172,7 @@ def _load(config: PipelineConfig, stages=()) -> ValidatedDataset:
     n_sectors = len(_options(config).effective_sectors(dataset.ontology))
     if "pca" in stages and config.pca_dim > n_sectors:
         raise SectorSpaceError(f"--pca-dim {config.pca_dim} exceeds the {n_sectors} kept sectors")
-    return dataset
+    return raw, dataset
 
 
 def _options(config: PipelineConfig) -> ProfileOptions:
@@ -193,20 +183,14 @@ def _options(config: PipelineConfig) -> ProfileOptions:
     )
 
 
-def _manifest(config: PipelineConfig, command: str, results: dict) -> Path:
-    return reports.write_manifest(
-        config.out / f"manifest_{command}.json", command, config.echo(),
-        config.input_paths(), results,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_validate(args) -> int:
     config = _config(args)
-    raw, filtered, warnings = _load_and_filter(config, validate=True)
+    raw, filtered = _load(config)
+    warnings = validate_dataset(filtered)
     for scope, counts in (("loaded", raw.counts), ("filtered", filtered.counts)):
         print(scope + ": " + ", ".join(f"{k}={v}" for k, v in counts.items()))
     for warning in warnings:
@@ -387,27 +371,20 @@ _STAGES = {
 }
 
 
-def _run_stage(name: str):
-    def runner(args) -> int:
-        config = _config(args)
-        dataset = _load(config, (name,))
-        config.out.mkdir(parents=True, exist_ok=True)
-        results = _STAGES[name](config, dataset, SectorActivity.from_dataset(dataset))
-        _manifest(config, name, results)
-        print(f"{name}: wrote artifacts to {config.out}")
-        return 0
-
-    return runner
-
-
 def cmd_all(args) -> int:
-    config = _config(args)
-    dataset = _load(config, _STAGES)
+    """Run every stage for ``all``, or the one a stage command names; a stage command's
+    manifest holds that stage's results alone."""
+    config, command = _config(args), args.command
+    names = list(_STAGES) if command == "all" else [command]
+    dataset = _load(config, names)[1]
     config.out.mkdir(parents=True, exist_ok=True)
     activity = SectorActivity.from_dataset(dataset)
-    results = {name: run(config, dataset, activity) for name, run in _STAGES.items()}
-    _manifest(config, "all", results)
-    print(f"all: wrote artifacts to {config.out}")
+    results = {name: _STAGES[name](config, dataset, activity) for name in names}
+    if command != "all":
+        results = results[command]
+    reports.write_manifest(config.out / f"manifest_{command}.json", command, config.echo(),
+                           config.input_paths(), results)
+    print(f"{command}: wrote artifacts to {config.out}")
     return 0
 
 
@@ -471,11 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("tca", "rank scan, factors and top investors"),
         ("distances", "yearly barycenter distances between investor types"),
         ("spread", "density heatmaps and spread around the barycenter"),
+        ("all", "run every analysis stage"),
     ):
-        sub.add_parser(name, parents=[common], help=title).set_defaults(
-            func=_run_stage(name))
-    sub.add_parser("all", parents=[common],
-                   help="run every analysis stage").set_defaults(func=cmd_all)
+        sub.add_parser(name, parents=[common], help=title).set_defaults(func=cmd_all)
 
     synth_parser = sub.add_parser("synth", help="generate a planted scenario")
     synth_parser.add_argument("--scenario", required=True,

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import IntegrityError, SchemaError
 from .ontology import SectorOntology, default_ontology, dump_ontology, load_ontology
+from .reports import write_rows
 
 __all__ = [
     "StartupStatus",
@@ -482,8 +483,6 @@ def dump_dataset(dataset: ValidatedDataset, out_dir) -> dict[str, Path]:
     are written from their columns, each distinct categorical value
     formatted once, through :func:`reports.write_rows`.
     """
-    from .reports import write_rows  # not at module level: reports imports this module
-
     out_dir = Path(out_dir)
     paths = {
         "startups": out_dir / "startups.csv",

@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import OntologyError
+from .reports import _write_atomically
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,8 @@ def dump_ontology(ontology: SectorOntology, path) -> None:
             child: sorted(parents) for child, parents in sorted(ontology.child_map.items())
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2) + "\n"
+    _write_atomically(path, lambda handle: handle.write(text))
 
 
 def default_ontology() -> SectorOntology:

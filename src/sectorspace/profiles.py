@@ -15,14 +15,13 @@ and year and stacked per-sector round and amount matrices.
 :func:`build_profiles` picks the stage, the years window and the kept
 sectors, and :func:`stage_partition` slices the four stage views of the
 same accumulation. Group and year selections are row masks over a table,
-:meth:`ProfileTable.concat` is the one place tables are joined, and
-:func:`share_matrix` is the one place where round counts become shares.
+and :func:`share_matrix` is the one place where round counts become shares.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,18 +99,6 @@ class ProfileTable:
         """The rows a boolean mask, an index array or a slice picks, in that order."""
         return ProfileTable(self.sectors, self.stage, self.investor_ids[rows],
                             self.years[rows], self.rounds[rows], self.amounts[rows])
-
-    @classmethod
-    def concat(cls, tables) -> "ProfileTable":
-        """The rows of ``tables`` one after another; they must share one sector order and stage."""
-        tables = list(tables)
-        if len({table.sectors for table in tables}) != 1:
-            raise AnalysisError("profiles carry differing sector orders")
-        if len({table.stage for table in tables}) != 1:
-            raise AnalysisError("profiles carry differing stages")
-        return cls(tables[0].sectors, tables[0].stage,
-                   *(np.concatenate([getattr(t, f.name) for t in tables])
-                     for f in fields(cls)[2:]))
 
 
 @dataclass(frozen=True, eq=False)

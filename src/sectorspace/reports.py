@@ -16,13 +16,15 @@ import itertools
 import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .metrics import DistanceSeries, HeatmapGrid
-from .pca import PCAModel, TrajectoryPoint
-from .profiles import ProfileTable
-from .tca import CPModel, FitDiagnostics
+if TYPE_CHECKING:  # annotations only: every other module may import this one
+    from .metrics import DistanceSeries, HeatmapGrid
+    from .pca import PCAModel, TrajectoryPoint
+    from .profiles import ProfileTable
+    from .tca import CPModel, FitDiagnostics
 
 try:
     from importlib.metadata import version as _dist_version

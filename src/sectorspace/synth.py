@@ -27,7 +27,7 @@ from .errors import AnalysisError
 from .ingest import (INVESTOR_COLUMNS, INVESTOR_TYPES, ROUND_COLUMNS, STARTUP_COLUMNS,
                      StageClass)
 from .ontology import SectorOntology, dump_ontology
-from .reports import write_rows
+from .reports import _write_atomically, write_rows
 from .tca import CPModel, canonicalize
 
 STAGE_LABELS = {
@@ -234,14 +234,18 @@ class ScenarioConfig:
         for arch in self.archetypes:
             if arch.sector_mixture.shape != (self.n_sectors,):
                 raise AnalysisError(f"archetype {arch.name!r}: mixture has wrong length")
+            if any(np.shape(v) != (self.n_sectors,) for v in arch.stage_offsets.values()):
+                raise AnalysisError(f"archetype {arch.name!r}: stage offset has wrong length")
             if arch.active_window is not None and not years & set(arch.active_window):
                 raise AnalysisError(f"archetype {arch.name!r}: active window outside years")
         if self.concentration is not None:
             span = (self.concentration.start, self.concentration.peak)
             if not all(y in years for y in span):
                 raise AnalysisError("concentration window outside years")
-        if self.drift is not None and self.drift.turn_year is not None:
-            if self.drift.turn_year not in years:
+        if self.drift is not None:
+            if np.shape(self.drift.direction) != (self.n_sectors,):
+                raise AnalysisError("drift direction has wrong length")
+            if self.drift.turn_year is not None and self.drift.turn_year not in years:
                 raise AnalysisError("drift turn year outside years")
 
 
@@ -398,9 +402,8 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
         sectors=sectors,
         years=tuple(config.years),
     )
-    files.truth.write_text(
-        json.dumps(truth.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(truth.to_json(), indent=2, sort_keys=True) + "\n"
+    _write_atomically(files.truth, lambda handle: handle.write(text))
     return files, truth
 
 

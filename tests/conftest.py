@@ -136,6 +136,15 @@ def make_profiles(matrix, year=2010, weights=None, sectors=None, stage=None,
     )
 
 
+def stack_profiles(tables):
+    """The rows of ``tables`` one after another; they share one sector order and stage."""
+    tables = list(tables)
+    assert len({(table.sectors, table.stage) for table in tables}) == 1
+    return ProfileTable(tables[0].sectors, tables[0].stage,
+                        *(np.concatenate([getattr(table, name) for table in tables])
+                          for name in ("investor_ids", "years", "rounds", "amounts")))
+
+
 @pytest.fixture
 def small_ontology():
     return make_ontology(

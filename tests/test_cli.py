@@ -365,13 +365,14 @@ class TestAll:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-@pytest.fixture(scope="module")
-def stage_outputs(smoke_dir, tmp_path_factory):
-    """``all`` and each single-stage command, run on the smoke tables with one flag set."""
+@pytest.fixture(scope="class")
+def stage_outputs(request, tmp_path_factory):
+    """``all`` and each single-stage command, run on the class's tables with its flags."""
+    data = request.getfixturevalue(request.cls.TABLES)
     outputs = {}
     for command in ["all", *STAGES]:
         out = tmp_path_factory.mktemp(command)
-        assert cli.main([command, *table_flags(smoke_dir), *SMOKE_FLAGS,
+        assert cli.main([command, *table_flags(data), *request.cls.FLAGS,
                          "--out", str(out)]) == 0
         outputs[command] = out
     return outputs
@@ -379,6 +380,9 @@ def stage_outputs(smoke_dir, tmp_path_factory):
 
 class TestSingleStages:
     """Each single-stage command writes what ``all`` writes for that stage."""
+
+    TABLES = "smoke_dir"
+    FLAGS = SMOKE_FLAGS
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_files_and_manifest_match_all(self, stage_outputs, stage):
@@ -524,17 +528,29 @@ STAGED_FLAGS = ["--years", "2008:2015", "--r-range", "1:3", "--restarts", "3", "
 
 
 @pytest.fixture(scope="module")
-def staged_runs(tmp_path_factory):
-    """``all`` on the staged tables, over every round and with ``--stage seed``."""
+def staged_tables(tmp_path_factory):
     data = tmp_path_factory.mktemp("staged")
     synth.generate_ecosystem(staged_scenario(), data)
-    runs = {"data": data}
+    return data
+
+
+@pytest.fixture(scope="module")
+def staged_runs(staged_tables, tmp_path_factory):
+    """``all`` on the staged tables, over every round and with ``--stage seed``."""
+    runs = {"data": staged_tables}
     for label, extra in (("every", []), ("seed", ["--stage", "seed"])):
         out = tmp_path_factory.mktemp(f"staged_{label}")
-        assert cli.main(["all", *table_flags(data), *STAGED_FLAGS, *extra,
+        assert cli.main(["all", *table_flags(staged_tables), *STAGED_FLAGS, *extra,
                          "--out", str(out)]) == 0
         runs[label] = out
     return runs
+
+
+class TestSingleStagesUnderStageSeed(TestSingleStages):
+    """The same under ``--stage seed``, the flag that changes profiles and tca."""
+
+    TABLES = "staged_tables"
+    FLAGS = [*STAGED_FLAGS, "--stage", "seed"]
 
 
 class TestStageViews:
@@ -593,6 +609,25 @@ def test_traced_names_resolve():
             for part in name.split("."):
                 holder = getattr(holder, part, None)
             assert callable(holder), f"sectorspace.{layer}.{name}"
+
+
+MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    """Each module imports first in a fresh interpreter, so no import cycle hides.
+
+    The package ``__init__`` is bypassed: it would import every module in its
+    own order before the one named.
+    """
+    code = ("import importlib.util, sys, types; "
+            "pkg = types.ModuleType('sectorspace'); "
+            "pkg.__path__ = importlib.util.find_spec('sectorspace').submodule_search_locations; "
+            "sys.modules['sectorspace'] = pkg; "
+            f"import sectorspace.{module}")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEntryPoint:

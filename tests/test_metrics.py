@@ -18,9 +18,9 @@ from sectorspace.metrics import (
     spread_series,
 )
 from sectorspace.pca import BarycenterPoint, barycenter, fit_on_profiles, project
-from sectorspace.profiles import ProfileTable, group_profiles, share_matrix
+from sectorspace.profiles import group_profiles, share_matrix
 
-from conftest import make_investor, make_profiles
+from conftest import make_investor, make_profiles, stack_profiles
 
 ROOT_HALF = 0.7071067811865476
 
@@ -127,7 +127,7 @@ class TestDistanceSeries:
             if year != 2011:  # gap year for the accelerator
                 tables.append(make_profiles(
                     np.array([[0.0, 1.0]]), year=year, investor_ids=["acc0"]))
-        return ProfileTable.concat(tables), investors
+        return stack_profiles(tables), investors
 
     @staticmethod
     def vc_vs_accelerator(profiles, investors):
@@ -158,7 +158,7 @@ class TestDistanceSeries:
         profiles, investors = self.two_group_profiles()
         # move the 2012 vc block onto the accelerator so 2012 is the minimum
         moved = (profiles.years == 2012) & np.char.startswith(profiles.investor_ids, "vc")
-        profiles = ProfileTable.concat([
+        profiles = stack_profiles([
             profiles.take(~moved),
             make_profiles(np.array([[0.1, 0.9], [0.0, 1.0]]), year=2012,
                           investor_ids=["vc0", "vc1"]),
@@ -177,7 +177,7 @@ class TestHeatmap:
             shares = raw / raw.sum(axis=1, keepdims=True)
             tables.append(make_profiles(shares, year=year,
                                         investor_ids=[f"i{k:03d}" for k in range(n)]))
-        return ProfileTable.concat(tables)
+        return stack_profiles(tables)
 
     def test_single_investor_single_cell(self):
         profiles = self.spread_profiles()
@@ -208,7 +208,7 @@ class TestHeatmap:
 
     def test_degenerate_edges_error(self):
         model = fit_on_profiles(self.spread_profiles(), 2)
-        profiles = ProfileTable.concat([
+        profiles = stack_profiles([
             make_profiles(np.tile([0.5, 0.5, 0.5, 0.5], (4, 1)), year=2010),
             make_profiles(np.tile([0.5, 0.5, 0.5, 0.5], (4, 1)), year=2011),
         ])
@@ -268,7 +268,7 @@ class TestSpread:
         assert mean == pytest.approx(expected, abs=1e-12)
 
     def test_series_skips_thin_years(self):
-        profiles = ProfileTable.concat([
+        profiles = stack_profiles([
             make_profiles(np.eye(2), year=2010),
             make_profiles(np.array([[0.5, 0.5]]), year=2011),
             make_profiles(np.eye(2), year=2012),

@@ -21,9 +21,8 @@ from sectorspace.pca import (
     sector_positions,
     standardize,
 )
-from sectorspace.profiles import ProfileTable
 
-from conftest import make_profiles
+from conftest import make_profiles, stack_profiles
 
 ROOT_HALF = 0.7071067811865476
 
@@ -245,7 +244,7 @@ class TestBarycenter:
     def test_input_validation(self):
         with pytest.raises(AnalysisError):
             barycenter(make_profiles(np.eye(2)).take(slice(0, 0)))
-        mixed = ProfileTable.concat([make_profiles(np.eye(2), year=2010),
+        mixed = stack_profiles([make_profiles(np.eye(2), year=2010),
                                      make_profiles(np.eye(2), year=2011)])
         with pytest.raises(AnalysisError, match="multiple years"):
             barycenter(mixed)
@@ -264,7 +263,7 @@ class TestTrajectory:
             tables.append(make_profiles(
                 shares, year=year,
                 investor_ids=[f"inv{i:03d}" for i in range(n)]))
-        return ProfileTable.concat(tables)
+        return stack_profiles(tables)
 
     def test_single_year_composes_project_and_barycenter(self):
         profiles = self.drifting_profiles(years=[2010, 2011])
@@ -283,7 +282,7 @@ class TestTrajectory:
         base = make_profiles(np.eye(2), year=2010)
         seed = make_profiles(np.array([[1.0, 0.0]]), year=2010, stage=StageClass.SEED)
         model = fit_on_profiles(
-            ProfileTable.concat([base, make_profiles(np.eye(2), year=2011)]), 2)
+            stack_profiles([base, make_profiles(np.eye(2), year=2011)]), 2)
         all_points = barycenter_trajectory(base, model)
         seed_points = barycenter_trajectory(seed, model)
         assert len(all_points) == len(seed_points) == 1

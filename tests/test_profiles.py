@@ -31,6 +31,7 @@ from conftest import (
     make_round,
     make_startup,
     rows,
+    stack_profiles,
     tiny_tables,
 )
 
@@ -335,16 +336,4 @@ def test_share_matrix_rows_sum_to_one(tiny_activity):
         share_matrix(profiles.take(slice(0, 0)))
     idle = replace(profiles.take([0]), rounds=np.zeros((1, len(TAGS4))))
     with pytest.raises(AnalysisError, match="all-zero strategy vector"):
-        share_matrix(ProfileTable.concat([profiles, idle]))
-
-
-def test_concat_rejects_differing_stages(tiny_activity):
-    parts = stage_partition(tiny_activity, options=NO_EXCLUDE)
-    unfiltered = build_profiles(tiny_activity, options=NO_EXCLUDE)
-    with pytest.raises(AnalysisError, match="differing stages"):
-        ProfileTable.concat([unfiltered, parts[StageClass.SEED]])
-    with pytest.raises(AnalysisError, match="differing stages"):
-        ProfileTable.concat([parts[StageClass.SEED], parts[StageClass.SERIES_A]])
-    seed = parts[StageClass.SEED]
-    joined = ProfileTable.concat([seed, seed])
-    assert joined.stage is StageClass.SEED and len(joined) == 2 * len(seed)
+        share_matrix(stack_profiles([profiles, idle]))

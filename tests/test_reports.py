@@ -11,15 +11,17 @@ import io
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_profiles
-from sectorspace import reports, svgplot
+from conftest import make_ontology, make_profiles
+from sectorspace import reports, svgplot, synth
 from sectorspace.metrics import DistanceSeries, HeatmapGrid
+from sectorspace.ontology import dump_ontology
 from sectorspace.pca import PCAModel, StandardizationParams, TrajectoryPoint
 from sectorspace.profiles import ProfileTable, StageClass
 from sectorspace.reports import (
@@ -71,6 +73,11 @@ def cell_formatted(header, rows) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def tiny_scenario(seed=0):
+    arch = synth.ArchetypeSpec("a", "vc", 2, np.array([0.5, 0.5]), 2.0)
+    return synth.ScenarioConfig("tiny", range(2010, 2012), 2, (arch,), seed=seed)
+
+
 class TestWriteRows:
     def test_exact_bytes(self, tmp_path):
         path = write_rows(tmp_path / "out.csv", ["a", "b"], [[1, 0.5], ["x", -0.0]])
@@ -90,13 +97,14 @@ class TestWriteRows:
             written = write_rows(tmp_path / "written.csv", ["a"], [[1]])
             manifest = write_manifest(tmp_path / "manifest.json", "x", {}, {})
             chart = svgplot.save_svg(tmp_path / "chart.svg", svgplot.bar_chart(["a"], [1.0]))
+            dump_ontology(make_ontology(), tmp_path / "ontology.json")
+            files, _ = synth.generate_ecosystem(tiny_scenario(), tmp_path / "eco")
         finally:
             os.umask(previous)
         mode = stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
         assert mode == 0o666 & ~umask
-        assert stat.S_IMODE(written.stat().st_mode) == mode
-        assert stat.S_IMODE(manifest.stat().st_mode) == mode
-        assert stat.S_IMODE(chart.stat().st_mode) == mode
+        for path in (written, manifest, chart, tmp_path / "ontology.json", files.truth):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
     def test_creates_parent_dirs(self, tmp_path):
         path = write_rows(tmp_path / "deep" / "nest" / "f.csv", ["a"], [[1]])
@@ -439,6 +447,28 @@ class TestManifest:
         with pytest.raises(OSError):
             write_manifest(out / "manifest_tca.json", "tca", {}, {"d": data})
         assert sorted(p.name for p in out.iterdir()) == ["manifest_all.json"]
+
+    def test_failed_ontology_and_truth_writes_leave_no_partial_file(self, tmp_path,
+                                                                     monkeypatch):
+        ontology = tmp_path / "new" / "ontology.json"
+        dump_ontology(make_ontology(version="before"), ontology)
+        files, _ = synth.generate_ecosystem(tiny_scenario(seed=0), tmp_path / "eco")
+        before = ontology.read_bytes(), files.truth.read_bytes()
+        replace = os.replace
+
+        def refuse(src, dst):
+            if Path(dst) in (ontology, files.truth):
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(reports.os, "replace", refuse)
+        with pytest.raises(OSError):
+            dump_ontology(make_ontology(version="after"), ontology)
+        with pytest.raises(OSError):
+            synth.generate_ecosystem(tiny_scenario(seed=1), tmp_path / "eco")
+        assert (ontology.read_bytes(), files.truth.read_bytes()) == before
+        assert [p.name for p in ontology.parent.iterdir()] == ["ontology.json"]
+        assert not [p for p in files.truth.parent.iterdir() if p.name.startswith(".")]
 
     def test_manifest_bytes_deterministic(self, tmp_path):
         data = tmp_path / "in.csv"

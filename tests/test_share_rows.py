@@ -11,7 +11,6 @@ from collections import namedtuple
 from dataclasses import fields, is_dataclass
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +31,8 @@ from sectorspace.pca import (
 )
 from sectorspace.profiles import ProfileTable, profiles_by_year
 from sectorspace.tca import StrategyTensor, build_tensor
+
+from conftest import stack_profiles
 
 SECTORS = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
 INVESTORS = ("i1", "i2", "i3", "i4", "i5")
@@ -258,15 +259,12 @@ def test_tensor_fill_matches_cell_by_cell_loop(drawn):
                      outcome(old_build_tensor, rows(profiles), years, sectors))
 
 
-def test_tensor_rejects_differing_sector_orders():
-    """Tables over different sector orders cannot be joined into one tensor input."""
-    def table(iid, year, sectors):
+def test_tensor_spans_the_investors_of_stacked_tables():
+    """Tables of one sector order, stacked, make one tensor input."""
+    def table(iid, year):
         counts = np.array([[1.0, 2.0]])
-        return ProfileTable(sectors, None, np.array([iid]), np.array([year]), counts, counts)
+        return ProfileTable(("Alpha", "Beta"), None, np.array([iid]), np.array([year]),
+                            counts, counts)
 
-    first = table("i1", 2010, ("Alpha", "Beta"))
-    second = table("i2", 2011, ("Beta", "Alpha"))
-    with pytest.raises(AnalysisError, match="differing sector orders"):
-        ProfileTable.concat([first, second])
-    joined = ProfileTable.concat([first, table("i2", 2011, ("Alpha", "Beta"))])
+    joined = stack_profiles([table("i1", 2010), table("i2", 2011)])
     assert build_tensor(joined).investor_ids == ("i1", "i2")

@@ -23,6 +23,7 @@ from sectorspace.synth import (
     STAGE_LABELS,
     ArchetypeSpec,
     ConcentrationSpec,
+    DriftSpec,
     PlantedTruth,
     ScenarioConfig,
     baseline_scenario,
@@ -223,6 +224,21 @@ class TestScenarioValidation:
         )
         with pytest.raises(AnalysisError, match="concentration window"):
             generate_ecosystem(concentrated, tmp_path)
+
+    def test_vectors_must_have_one_entry_per_sector(self, tmp_path):
+        offset = ArchetypeSpec("a", "vc", 3, np.array([0.5, 0.5]), 2.0,
+                               stage_offsets={StageClass.SEED: np.zeros(3)})
+        config = ScenarioConfig("bad", range(2010, 2014), 2, (offset,))
+        with pytest.raises(AnalysisError, match="archetype 'a': stage offset"):
+            generate_ecosystem(config, tmp_path)
+
+        drifting = ScenarioConfig(
+            "bad2", range(2010, 2014), 2,
+            (ArchetypeSpec("a", "vc", 3, np.array([0.5, 0.5]), 2.0),),
+            drift=DriftSpec(np.array([0.1, 0.0, -0.1]), 0.01),
+        )
+        with pytest.raises(AnalysisError, match="drift direction"):
+            generate_ecosystem(drifting, tmp_path)
 
 
 @pytest.fixture(scope="module")

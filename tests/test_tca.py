@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorspace.errors import AnalysisError
-from sectorspace.profiles import ProfileTable
 from sectorspace.synth import generate_cp_tensor
 from sectorspace.tca import (
     DEFAULT_MAX_ITER,
@@ -33,7 +32,7 @@ from sectorspace.tca import (
     top_investors,
 )
 
-from conftest import make_investor, make_profiles
+from conftest import make_investor, make_profiles, stack_profiles
 
 ROOT_HALF = 0.7071067811865476
 
@@ -56,7 +55,7 @@ def random_model(seed, n=50, s=10, k=8, rank=2):
 
 class TestBuildTensor:
     def test_2x2x2_index_bookkeeping(self):
-        profiles = ProfileTable.concat([
+        profiles = stack_profiles([
             make_profiles(np.array([[2.0, 0.0], [0.0, 1.0]]), year=2010,
                           sectors=("A", "B"), investor_ids=["i1", "i2"]),
             make_profiles(np.array([[0.0, 3.0], [1.0, 0.0]]), year=2011,
@@ -72,7 +71,7 @@ class TestBuildTensor:
         np.testing.assert_allclose(tensor.values[:, :, 1], -expected_2010, atol=1e-12)
 
     def test_constant_fiber_zeroed_and_flagged(self):
-        profiles = ProfileTable.concat([
+        profiles = stack_profiles([
             make_profiles(np.array([[1.0, 1.0], [1.0, 2.0]]), year=2010,
                           sectors=("A", "B"), investor_ids=["i1", "i2"]),
             make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
@@ -95,7 +94,7 @@ class TestBuildTensor:
                                         weights=counts.sum(axis=1),
                                         investor_ids=[f"i{j:02d}" for j in range(15)]))
             raw.append(tables[-1].rounds)
-        tensor = build_tensor(ProfileTable.concat(tables))
+        tensor = build_tensor(stack_profiles(tables))
         for k in range(3):
             slab = tensor.values[:, :, k]
             np.testing.assert_allclose(slab.mean(axis=0), 0.0, atol=1e-9)
@@ -104,7 +103,7 @@ class TestBuildTensor:
             np.testing.assert_allclose(slab[:, ~constant].std(axis=0, ddof=1), 1.0, atol=1e-9)
 
     def test_inactive_investor_year_contributes_zero_row(self):
-        profiles = ProfileTable.concat([
+        profiles = stack_profiles([
             make_profiles(np.array([[1.0, 0.0]]), year=2010,
                           sectors=("A", "B"), investor_ids=["lone"]),
             make_profiles(np.array([[1.0, 0.0], [0.0, 1.0]]), year=2011,
@@ -118,7 +117,7 @@ class TestBuildTensor:
         profiles = make_profiles(np.eye(2), year=2010, sectors=("A", "B"))
         with pytest.raises(AnalysisError, match="2 years"):
             build_tensor(profiles)
-        lone = ProfileTable.concat([
+        lone = stack_profiles([
             make_profiles(np.array([[1.0, 0.0]]), year=year, sectors=("A", "B"),
                           investor_ids=["lone"])
             for year in (2010, 2011)
