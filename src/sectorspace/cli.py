@@ -1,15 +1,17 @@
 """Command-line pipeline: ingest, profiles, PCA, TCA, distances, spread, synth.
 
-Every artifact-producing subcommand writes CSVs (and deterministic SVGs)
-under ``--out`` plus a run manifest with the config echo, package version
-and SHA-256 digests of its inputs. Exit codes: 0 success, 1 analysis
-error, 2 usage error.
+The parsed flags are the run's settings: once the input files are checked,
+``--exclude-sector``, ``--stage`` and ``--out`` are resolved on the argparse
+namespace, which the stage runners read. Every artifact-producing subcommand
+writes CSVs (and deterministic SVGs) under ``--out`` plus a run manifest
+with the ``ECHOED`` flags, package version and SHA-256 digests of its inputs.
+Exit codes: 0 success, 1 analysis error, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -75,111 +77,73 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return tuple(_parse_above(part, int, 1) for part in parts)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Validated snapshot of every flag an analysis run depends on."""
+INPUT_FLAGS = ("startups", "rounds", "investors", "ontology")
 
-    startups: Path
-    rounds: Path
-    investors: Path
-    ontology: Path | None
-    years: range
-    country: str
-    exclude_sectors: tuple[str, ...]
-    stage: StageClass | None
-    pca_dim: int
-    r_range: range
-    restarts: int
-    tol: float
-    seed: int
-    grid: tuple[int, int]
-    out: Path
-    strict_tags: bool
-
-    def input_paths(self) -> dict[str, Path]:
-        paths = {"startups": self.startups, "rounds": self.rounds,
-                 "investors": self.investors}
-        if self.ontology is not None:
-            paths["ontology"] = self.ontology
-        return paths
-
-    def echo(self) -> dict:
-        return {
-            "years": [self.years[0], self.years[-1]],
-            "country": self.country,
-            "exclude_sectors": list(self.exclude_sectors),
-            "stage": self.stage.value if self.stage else None,
-            "pca_dim": self.pca_dim,
-            "r_range": [self.r_range[0], self.r_range[-1]],
-            "restarts": self.restarts,
-            "tol": self.tol,
-            "seed": self.seed,
-            "grid": list(self.grid),
-            "strict_tags": self.strict_tags,
-        }
+# the flags a manifest echoes, after _config has resolved them
+ECHOED = ("years", "country", "exclude_sectors", "stage", "pca_dim", "r_range", "restarts",
+          "tol", "seed", "grid", "strict_tags")
 
 
-def _config(args: argparse.Namespace) -> PipelineConfig:
-    for name in ("startups", "rounds", "investors"):
+def _config(args: argparse.Namespace) -> None:
+    """Check the input files, then resolve on ``args`` what the stages read: the input
+    flags and ``--out`` as paths, ``exclude_sectors`` as a tuple, ``stage`` as a StageClass."""
+    for name in INPUT_FLAGS:
         path = getattr(args, name)
         if path is None:
+            if name == "ontology":
+                continue
             raise SectorSpaceError(f"--{name} is required for this command")
         if not Path(path).is_file():
             raise SectorSpaceError(f"--{name}: no such file: {path}")
-    if args.ontology is not None and not Path(args.ontology).is_file():
-        raise SectorSpaceError(f"--ontology: no such file: {args.ontology}")
-    excludes = tuple(v for v in (args.exclude_sector or DEFAULT_EXCLUDES) if v)
-    return PipelineConfig(
-        startups=Path(args.startups),
-        rounds=Path(args.rounds),
-        investors=Path(args.investors),
-        ontology=Path(args.ontology) if args.ontology else None,
-        years=args.years,
-        country=args.country,
-        exclude_sectors=excludes,
-        stage=STAGE_FLAGS[args.stage] if args.stage else None,
-        pca_dim=args.pca_dim,
-        r_range=args.r_range,
-        restarts=args.restarts,
-        tol=args.tol,
-        seed=args.seed,
-        grid=args.grid,
-        out=Path(args.out),
-        strict_tags=args.strict_tags,
-    )
+        setattr(args, name, Path(path))
+    args.exclude_sectors = tuple(v for v in (args.exclude_sector or DEFAULT_EXCLUDES) if v)
+    args.stage = STAGE_FLAGS[args.stage] if args.stage else None
+    args.out = Path(args.out)
 
 
-def _load(config: PipelineConfig, stages=()
+def _echo(args: argparse.Namespace) -> dict:
+    """The manifest's config block: a range as ``[first, last]``, a stage as its value."""
+    echo = {name: getattr(args, name) for name in ECHOED}
+    for name in ("years", "r_range"):
+        echo[name] = [echo[name][0], echo[name][-1]]
+    echo["stage"] = args.stage.value if args.stage else None
+    return echo
+
+
+def _load(args: argparse.Namespace, stages=()
           ) -> tuple[ValidatedDataset, ValidatedDataset]:
     """The loaded dataset and the one filtered by ``--country``.
 
     The filtered one is checked against the flags of the ``stages`` to run:
-    every stage but ``profiles`` needs a kept round inside ``--years``.
+    every stage but ``profiles`` needs a kept round inside ``--years``,
+    ``pca`` at least ``--pca-dim`` kept sectors and ``spread`` two.
     ``--strict-tags`` makes unknown tags an error.
     """
-    raw = load_dataset(config.startups, config.rounds, config.investors,
-                       config.ontology)
-    dataset = filter_startups(raw, country=config.country)
-    if config.strict_tags:
+    raw = load_dataset(args.startups, args.rounds, args.investors, args.ontology)
+    dataset = filter_startups(raw, country=args.country)
+    if args.strict_tags:
         unknown = [w for w in validate_dataset(dataset) if "unknown tag" in w]
         if unknown:
             raise SectorSpaceError("strict tags: " + "; ".join(unknown))
     if set(stages) - {"profiles"} and not any(
-            day.year in config.years for day in dataset.rounds.announced.values):
+            day.year in args.years for day in dataset.rounds.announced.values):
         raise SectorSpaceError(
-            f"no round of a startup kept by --country {config.country} falls inside "
-            f"--years {config.years[0]}:{config.years[-1]}")
-    n_sectors = len(_options(config).effective_sectors(dataset.ontology))
-    if "pca" in stages and config.pca_dim > n_sectors:
-        raise SectorSpaceError(f"--pca-dim {config.pca_dim} exceeds the {n_sectors} kept sectors")
+            f"no round of a startup kept by --country {args.country} falls inside "
+            f"--years {args.years[0]}:{args.years[-1]}")
+    n_sectors = len(_options(args).effective_sectors(dataset.ontology))
+    if "pca" in stages and args.pca_dim > n_sectors:
+        raise SectorSpaceError(f"--pca-dim {args.pca_dim} exceeds the {n_sectors} kept sectors")
+    if "spread" in stages and n_sectors < 2:
+        raise SectorSpaceError(
+            f"spread needs 2 kept sectors for its 2-D heatmap plane; {n_sectors} kept")
     return raw, dataset
 
 
-def _options(config: PipelineConfig) -> ProfileOptions:
+def _options(args: argparse.Namespace) -> ProfileOptions:
     return ProfileOptions(
-        exclude_sectors=frozenset(config.exclude_sectors),
-        stage_filter=config.stage,
-        years=config.years,
+        exclude_sectors=frozenset(args.exclude_sectors),
+        stage_filter=args.stage,
+        years=args.years,
     )
 
 
@@ -188,8 +152,8 @@ def _options(config: PipelineConfig) -> ProfileOptions:
 
 
 def cmd_validate(args) -> int:
-    config = _config(args)
-    raw, filtered = _load(config)
+    _config(args)
+    raw, filtered = _load(args)
     warnings = validate_dataset(filtered)
     for scope, counts in (("loaded", raw.counts), ("filtered", filtered.counts)):
         print(scope + ": " + ", ".join(f"{k}={v}" for k, v in counts.items()))
@@ -199,35 +163,35 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _run_profiles(config: PipelineConfig, dataset: ValidatedDataset,
+def _run_profiles(args: argparse.Namespace, dataset: ValidatedDataset,
                   activity: SectorActivity) -> dict:
-    profiles = build_profiles(activity, options=_options(config))
-    reports.write_profiles(config.out / "profiles.csv", profiles)
+    profiles = build_profiles(activity, options=_options(args))
+    reports.write_profiles(args.out / "profiles.csv", profiles)
     return {"profiles": len(profiles)}
 
 
-def _run_pca(config: PipelineConfig, dataset: ValidatedDataset,
+def _run_pca(args: argparse.Namespace, dataset: ValidatedDataset,
             activity: SectorActivity) -> dict:
-    options = _options(config)
+    options = _options(args)
     profiles = build_profiles(activity, options=replace(options, stage_filter=None))
-    model = pca.fit_on_profiles(profiles, config.pca_dim)
+    model = pca.fit_on_profiles(profiles, args.pca_dim)
     sectors = options.effective_sectors(dataset.ontology)
-    reports.write_pca_loadings(config.out / "pca_loadings.csv", model, sectors)
+    reports.write_pca_loadings(args.out / "pca_loadings.csv", model, sectors)
 
     trajectories = {"all": pca.barycenter_trajectory(profiles, model)}
     for stage, stage_profiles in stage_partition(activity, options=options).items():
         if stage_profiles:
             trajectories[stage.value] = pca.barycenter_trajectory(stage_profiles, model)
-    reports.write_trajectory(config.out / "trajectory.csv", trajectories)
+    reports.write_trajectory(args.out / "trajectory.csv", trajectories)
 
     svgplot.save_svg(
-        config.out / "pca_sectors.svg",
+        args.out / "pca_sectors.svg",
         svgplot.scatter_chart(pca.sector_positions(model, sectors),
                               title="Sector loadings"),
     )
     for label, points in trajectories.items():
         svgplot.save_svg(
-            config.out / f"trajectory_{label}.svg",
+            args.out / f"trajectory_{label}.svg",
             svgplot.trajectory_chart(
                 [(p.year, float(p.coords[0]), float(p.coords[1])) for p in points],
                 title=f"Barycenter trajectory ({label})",
@@ -239,19 +203,19 @@ def _run_pca(config: PipelineConfig, dataset: ValidatedDataset,
     }
 
 
-def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
+def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
             activity: SectorActivity) -> dict:
-    options = replace(_options(config), exclude_sectors=frozenset())
+    options = replace(_options(args), exclude_sectors=frozenset())
     tensor = tca.build_tensor(build_profiles(activity, options=options))
-    feasible = [r for r in config.r_range if r <= min(tensor.values.shape[0],
+    feasible = [r for r in args.r_range if r <= min(tensor.values.shape[0],
                 tensor.values.shape[1] * tensor.values.shape[2])]
     if not feasible:
         raise SectorSpaceError("no feasible rank in --r-range for this tensor")
-    diag = tca.rank_scan(tensor, feasible, restarts=config.restarts,
-                         seed=config.seed, tol=config.tol)
+    diag = tca.rank_scan(tensor, feasible, restarts=args.restarts,
+                         seed=args.seed, tol=args.tol)
     best = diag.best_models[diag.chosen_rank]
-    reports.write_tca_diagnostics(config.out / "tca_diagnostics.csv", diag)
-    reports.write_tca_factors(config.out / "tca_factors.csv", best)
+    reports.write_tca_diagnostics(args.out / "tca_diagnostics.csv", diag)
+    reports.write_tca_factors(args.out / "tca_factors.csv", best)
 
     tables = {}
     for component in range(best.rank):
@@ -261,10 +225,10 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
         ):
             rows.append((iid, dataset.investor_by_id[iid].name, type_label, value))
         tables[component + 1] = rows
-    reports.write_top_investors(config.out / "top_investors.csv", tables)
+    reports.write_top_investors(args.out / "top_investors.csv", tables)
 
     svgplot.save_svg(
-        config.out / "tca_error.svg",
+        args.out / "tca_error.svg",
         svgplot.line_chart(
             [("best error", list(diag.ranks),
               [diag.best_error[r] for r in diag.ranks]),
@@ -275,7 +239,7 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
     )
     year_axis = [float(y) for y in best.years]
     svgplot.save_svg(
-        config.out / "tca_temporal.svg",
+        args.out / "tca_temporal.svg",
         svgplot.line_chart(
             [(f"component {r + 1}", year_axis,
               list(best.temporal_factors[:, r])) for r in range(best.rank)],
@@ -284,7 +248,7 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
     )
     for r in range(best.rank):
         svgplot.save_svg(
-            config.out / f"tca_sector_{r + 1}.svg",
+            args.out / f"tca_sector_{r + 1}.svg",
             svgplot.bar_chart(list(best.sectors), list(best.sector_factors[:, r]),
                               title=f"Sector factor, component {r + 1}"),
         )
@@ -295,9 +259,9 @@ def _run_tca(config: PipelineConfig, dataset: ValidatedDataset,
     }
 
 
-def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
+def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
                    activity: SectorActivity) -> dict:
-    profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
+    profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     investors = dataset.investor_by_id
     present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
     groups = {label: group_profiles(profiles, label, investors) for label in present}
@@ -311,9 +275,9 @@ def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
                 continue
     if not series_list:
         raise SectorSpaceError("no type pair shares an active year")
-    reports.write_distances(config.out / "distances.csv", series_list)
+    reports.write_distances(args.out / "distances.csv", series_list)
     svgplot.save_svg(
-        config.out / "distances.svg",
+        args.out / "distances.svg",
         svgplot.line_chart(
             [(f"{s.label_a} vs {s.label_b}",
               [float(y) for y in s.years], list(s.distances)) for s in series_list],
@@ -328,24 +292,24 @@ def _run_distances(config: PipelineConfig, dataset: ValidatedDataset,
     }
 
 
-def _run_spread(config: PipelineConfig, dataset: ValidatedDataset,
+def _run_spread(args: argparse.Namespace, dataset: ValidatedDataset,
                 activity: SectorActivity) -> dict:
-    profiles = build_profiles(activity, options=replace(_options(config), stage_filter=None))
+    profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     series = metrics.spread_series(profiles)
     if not series:
         raise SectorSpaceError("no year has two active investors to spread")
     model = pca.fit_on_profiles(profiles, 2)
-    grid = metrics.heatmap_grid(profiles, model, *config.grid)
-    reports.write_heatmaps(config.out, grid)
+    grid = metrics.heatmap_grid(profiles, model, *args.grid)
+    reports.write_heatmaps(args.out, grid)
     for year in sorted(grid.counts):
         svgplot.save_svg(
-            config.out / f"heatmap_{year}.svg",
+            args.out / f"heatmap_{year}.svg",
             svgplot.heatmap_chart(grid.counts[year], grid.x_edges, grid.y_edges,
                                   title=f"Strategy density {year}"),
         )
-    reports.write_spread(config.out / "spread.csv", series)
+    reports.write_spread(args.out / "spread.csv", series)
     svgplot.save_svg(
-        config.out / "spread.svg",
+        args.out / "spread.svg",
         svgplot.line_chart(
             [("mean distance", [float(e[0]) for e in series],
               [e[1] for e in series])],
@@ -374,17 +338,20 @@ _STAGES = {
 def cmd_all(args) -> int:
     """Run every stage for ``all``, or the one a stage command names; a stage command's
     manifest holds that stage's results alone."""
-    config, command = _config(args), args.command
+    _config(args)
+    command = args.command
     names = list(_STAGES) if command == "all" else [command]
-    dataset = _load(config, names)[1]
-    config.out.mkdir(parents=True, exist_ok=True)
+    dataset = _load(args, names)[1]
+    args.out.mkdir(parents=True, exist_ok=True)
     activity = SectorActivity.from_dataset(dataset)
-    results = {name: _STAGES[name](config, dataset, activity) for name in names}
+    results = {name: _STAGES[name](args, dataset, activity) for name in names}
     if command != "all":
         results = results[command]
-    reports.write_manifest(config.out / f"manifest_{command}.json", command, config.echo(),
-                           config.input_paths(), results)
-    print(f"{command}: wrote artifacts to {config.out}")
+    inputs = {name: getattr(args, name) for name in INPUT_FLAGS
+              if getattr(args, name) is not None}
+    reports.write_manifest(args.out / f"manifest_{command}.json", command, _echo(args),
+                           inputs, results)
+    print(f"{command}: wrote artifacts to {args.out}")
     return 0
 
 

@@ -13,8 +13,8 @@ into one list of cells per column, and each distinct cell value is
 converted once: statuses, dates, tag sets and stage labels become
 :class:`Categorical` columns (codes into the distinct values), amounts a
 float array (NaN = unknown), the startup of each round a row index into
-the startup table, and the investors of each round CSR offsets plus codes
-into the sorted ids that occur in the rounds. No row object is built:
+the startup table, and the investors of each round a :class:`Categorical`
+of id tuples, like the startups' tags. No row object is built:
 filtering, accumulation and :func:`dump_dataset` read the columns of
 :class:`StartupTable` and :class:`RoundTable`. The investor table stays a
 tuple of :class:`RawInvestor` records.
@@ -131,12 +131,6 @@ class Categorical:
         return Categorical((np.cumsum(used) - 1)[codes], tuple(compress(self.values, used)))
 
 
-def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated indices ``starts[i], ..., starts[i] + lengths[i] - 1`` over ``i``."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
 @dataclass(frozen=True, eq=False)
 class StartupTable:
     """The startups as columns, one entry per row."""
@@ -168,10 +162,8 @@ class RoundTable:
     """The rounds as columns, one entry per row.
 
     ``startup`` holds each round's row in the startup table whose ids are
-    ``startup_ids``; ``amount`` is NaN where unknown. The investors of round
-    ``i`` are ``investor_vocab[c]`` for ``c`` in
-    ``investor_codes[investor_offsets[i]:investor_offsets[i + 1]]``; the
-    vocabulary is the sorted ids that occur in the rounds.
+    ``startup_ids``; ``amount`` is NaN where unknown; ``investors[i]`` is
+    the tuple of investor ids of round ``i``, in file order.
     """
 
     ids: tuple[str, ...]
@@ -180,24 +172,7 @@ class RoundTable:
     announced: Categorical
     stage: Categorical
     amount: np.ndarray
-    investor_offsets: np.ndarray
-    investor_codes: np.ndarray
-    investor_vocab: tuple[str, ...]
-
-    @classmethod
-    def from_columns(cls, ids, startup, startup_ids, announced: Categorical,
-                     stage: Categorical, amount, members: Categorical) -> "RoundTable":
-        """Build the table; ``members`` holds each round's investor id tuple."""
-        vocab = tuple(sorted({iid for ids_ in members.values for iid in ids_}))
-        position = {iid: code for code, iid in enumerate(vocab)}
-        lengths = np.array([len(ids_) for ids_ in members.values], dtype=np.intp)
-        flat = np.fromiter((position[iid] for ids_ in members.values for iid in ids_),
-                           np.intp, int(lengths.sum()))
-        row_lengths = lengths[members.codes]
-        offsets = np.concatenate(([0], np.cumsum(row_lengths))).astype(np.intp)
-        codes = flat[segment_rows((np.cumsum(lengths) - lengths)[members.codes], row_lengths)]
-        return cls(tuple(ids), np.asarray(startup, dtype=np.intp), startup_ids, announced,
-                   stage, np.asarray(amount, dtype=float), offsets, codes, vocab)
+    investors: Categorical
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -214,9 +189,6 @@ class RoundTable:
         ``startup_row`` maps each row of the current startup table to its row
         in the one whose ids are ``startup_ids``.
         """
-        lengths = np.diff(self.investor_offsets)[rows]
-        codes = self.investor_codes[segment_rows(self.investor_offsets[rows], lengths)]
-        used = np.bincount(codes, minlength=len(self.investor_vocab)) > 0
         return RoundTable(
             ids=tuple(map(self.ids.__getitem__, rows.tolist())),
             startup=startup_row[self.startup[rows]],
@@ -224,9 +196,7 @@ class RoundTable:
             announced=self.announced.take(rows),
             stage=self.stage.take(rows),
             amount=self.amount[rows],
-            investor_offsets=np.concatenate(([0], np.cumsum(lengths))).astype(np.intp),
-            investor_codes=(np.cumsum(used) - 1)[codes],
-            investor_vocab=tuple(compress(self.investor_vocab, used)),
+            investors=self.investors.take(rows),
         )
 
 
@@ -453,9 +423,8 @@ def _load_rounds(path, startups: StartupTable,
     if dangling:
         raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
 
-    return RoundTable.from_columns(
-        ids, startup, startups.ids, announced_on, Categorical.encode(stages, str.strip),
-        amount, members)
+    return RoundTable(tuple(ids), startup, startups.ids, announced_on,
+                      Categorical.encode(stages, str.strip), amount, members)
 
 
 def load_dataset(startups_path, rounds_path, investors_path,
@@ -495,14 +464,11 @@ def dump_dataset(dataset: ValidatedDataset, out_dir) -> dict[str, Path]:
         startups.ids, startups.names, startups.country.cells(),
         startups.status.cells(lambda status: status.value),
         startups.founded.cells(dt.date.isoformat), startups.tags.cells("|".join)))
-    offsets = rounds.investor_offsets.tolist()
-    codes = rounds.investor_codes.tolist()
     write_rows(paths["rounds"], ROUND_COLUMNS, zip(
         rounds.ids, map(rounds.startup_ids.__getitem__, rounds.startup.tolist()),
         rounds.announced.cells(dt.date.isoformat), rounds.stage.cells(),
         ["" if math.isnan(amount) else repr(amount) for amount in rounds.amount.tolist()],
-        ["|".join(map(rounds.investor_vocab.__getitem__, codes[lo:hi]))
-         for lo, hi in zip(offsets, offsets[1:])]))
+        rounds.investors.cells("|".join)))
     write_rows(paths["investors"], INVESTOR_COLUMNS,
                [[inv.investor_id, inv.name, inv.type_label] for inv in dataset.investors])
     dump_ontology(dataset.ontology, paths["ontology"])

@@ -22,11 +22,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import AnalysisError
-from .ingest import StageClass, ValidatedDataset, classify_stage, segment_rows
+from .ingest import StageClass, ValidatedDataset, classify_stage
 from .ontology import SectorOntology
 
 logger = logging.getLogger(__name__)
@@ -101,6 +102,20 @@ class ProfileTable:
                             self.years[rows], self.rounds[rows], self.amounts[rows])
 
 
+def segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated indices ``starts[i], ..., starts[i] + lengths[i] - 1`` over ``i``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _flatten(groups, code_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and length of each group within the concatenation, and the concatenated
+    ``code_of(item)`` of every item."""
+    lengths = np.fromiter(map(len, groups), np.intp, len(groups))
+    flat = np.fromiter(map(code_of, chain.from_iterable(groups)), np.intp, int(lengths.sum()))
+    return np.cumsum(lengths) - lengths, lengths, flat
+
+
 @dataclass(frozen=True, eq=False)
 class SectorActivity:
     """Every round's split booked once per investor, year, stage slot and sector.
@@ -133,20 +148,19 @@ class SectorActivity:
         excluded with one log record.
         """
         ontology = dataset.ontology
-        rounds, tags = dataset.rounds, dataset.startups.tags
+        rounds, tags, members = dataset.rounds, dataset.startups.tags, dataset.rounds.investors
         sector_index = {tag: i for i, tag in enumerate(ontology.parent_tags)}
 
         tag_sets, tag_row = np.unique(tags.codes[rounds.startup], return_inverse=True)
-        parent_lists = [sorted(sector_index[tag] for tag in ontology.resolve(tags.values[c])[0])
-                        for c in tag_sets.tolist()]
-        n_parents = np.array([len(p) for p in parent_lists], dtype=np.intp)
-        parent_start = np.cumsum(n_parents) - n_parents
-        parent_flat = np.array([i for p in parent_lists for i in p], dtype=np.intp)
+        parent_start, n_parents, parent_flat = _flatten(
+            [sorted(ontology.resolve(tags.values[c])[0], key=sector_index.__getitem__)
+             for c in tag_sets.tolist()], sector_index.__getitem__)
 
         label_slots = [STAGE_SLOTS.get(classify_stage(label), 0) for label in rounds.stage.values]
         slot = np.array(label_slots, dtype=np.intp)[rounds.stage.codes]
         amount = np.where(np.isnan(rounds.amount), 0.0, rounds.amount)
-        investor_ids = rounds.investor_vocab
+        investor_ids = tuple(sorted(set(chain.from_iterable(members.values))))
+        position = {iid: i for i, iid in enumerate(investor_ids)}
         years, year_row = np.unique(rounds.year, return_inverse=True)
 
         k = n_parents[tag_row]
@@ -156,8 +170,10 @@ class SectorActivity:
                            sinks.size, ", ".join(rounds.ids[i] for i in sinks[:10].tolist()))
 
         # one entry per (participation, parent tag), in round order
-        part_round = np.repeat(np.arange(len(rounds)), np.diff(rounds.investor_offsets))
-        part_investor = rounds.investor_codes
+        member_start, n_members, member_flat = _flatten(members.values, position.__getitem__)
+        row_members = n_members[members.codes]
+        part_round = np.repeat(np.arange(len(rounds)), row_members)
+        part_investor = member_flat[segment_rows(member_start[members.codes], row_members)]
         part_k = k[part_round]
         share_part = np.repeat(np.arange(part_round.size), part_k)
         share_round = part_round[share_part]

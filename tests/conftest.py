@@ -101,13 +101,11 @@ def rows(table):
     if isinstance(table, StartupTable):
         return [StartupRow(table.ids[i], table.names[i], table.country[i], table.status[i],
                            table.founded[i], table.tags[i]) for i in range(n)]
-    offsets = table.investor_offsets.tolist()
     amounts = table.amount.tolist()
     return [
         RoundRow(table.ids[i], table.startup_ids[table.startup[i]], table.announced[i],
                  table.stage[i], None if math.isnan(amounts[i]) else amounts[i],
-                 tuple(table.investor_vocab[code]
-                       for code in table.investor_codes[offsets[i]:offsets[i + 1]].tolist()))
+                 table.investors[i])
         for i in range(n)
     ]
 

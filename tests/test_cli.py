@@ -292,6 +292,15 @@ class TestSpread:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_one_kept_sector_exits_before_writing(self, smoke_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        excludes = [f for j in range(5) for f in ("--exclude-sector", f"Sector {j:02d}")]
+        code = cli.main(["spread", *table_flags(smoke_dir), *excludes, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: spread" in err and "2-D heatmap plane" in err and "1 kept" in err
+        assert not out.exists()
+
 
 EXPECTED_ALL = [
     "distances.csv", "distances.svg",
@@ -338,6 +347,23 @@ class TestAll:
         assert manifest["results"]["spread"]["years"] == list(range(2008, 2014))
         for name, record in manifest["inputs"].items():
             assert record["sha256"] == sha256_digest(record["path"]), name
+
+    def test_manifest_echoes_every_setting(self, smoke_dir, tmp_path, capsys):
+        """The config block is exactly the echoed flags, each as the run read it."""
+        out = tmp_path / "out"
+        # profiles: a one-year window leaves tca no tensor to fit
+        assert cli.main(["profiles", *table_flags(smoke_dir), "--stage", "a",
+                         "--years", "2009", "--grid", "5x7", "--exclude-sector", "",
+                         "--tol", "1e-5", "--seed", "3", "--r-range", "2:4",
+                         "--restarts", "5", "--pca-dim", "3", "--strict-tags",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest_profiles.json").read_text())
+        assert manifest["config"] == {
+            "years": [2009, 2009], "country": "USA", "exclude_sectors": [],
+            "stage": "series_a", "pca_dim": 3, "r_range": [2, 4], "restarts": 5,
+            "tol": 1e-5, "seed": 3, "grid": [5, 7], "strict_tags": True,
+        }
+        assert sorted(manifest["inputs"]) == ["investors", "ontology", "rounds", "startups"]
 
     def test_resolves_each_startup_at_most_once(self, smoke_dir, tmp_path, capsys,
                                                 monkeypatch):
@@ -630,6 +656,34 @@ def test_module_imports_on_its_own(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line name`` of each name an import binds that the file never reads.
+
+    An import line marked ``# noqa: F401`` is skipped, as are ``__future__``
+    imports.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in lines[
+                node.lineno - 1] or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_imports():
+    """Every name a package module or a script imports is read somewhere in that file."""
+    root = Path(cli.__file__).resolve().parent
+    files = [root / f"{module}.py" for module in MODULES]
+    files += sorted((root.parents[1] / "scripts").glob("*.py"))
+    assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-c",
@@ -650,3 +704,6 @@ class TestEntryPoint:
                                f"sys.exit(cli.main({argv!r}))"],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        # nothing else is printed, at exit either
+        assert proc.stdout == f"all: wrote artifacts to {tmp_path / 'out'}\n"
+        assert proc.stderr == ""

@@ -28,6 +28,7 @@ from sectorspace.ingest import (
     validate_dataset,
 )
 from sectorspace.ontology import dump_ontology
+from sectorspace.profiles import SectorActivity
 
 from conftest import (
     RoundRow,
@@ -260,6 +261,7 @@ class TestFilterStartups:
     def test_matches_brute_force_row_scan(self, data):
         n = data.draw(st.integers(2, 25))
         statuses = list(StartupStatus)
+        pool = ["i0", "i1", "i2", "i3"]
         startups, rounds = [], []
         for i in range(n):
             startups.append(make_startup(
@@ -270,8 +272,9 @@ class TestFilterStartups:
                 founded=dt.date(data.draw(st.integers(1998, 2012)), 6, 1),
             ))
             if data.draw(st.booleans()):
-                rounds.append(make_round(f"r{i}", f"s{i}", 2013, ["i1"]))
-        dataset = make_dataset(startups, rounds, [make_investor("i1")])
+                members = data.draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+                rounds.append(make_round(f"r{i}", f"s{i}", 2013, members))
+        dataset = make_dataset(startups, rounds, [make_investor(iid) for iid in pool])
         kept = filter_startups(dataset)
 
         funded = {r.startup_id for r in rounds}
@@ -283,6 +286,13 @@ class TestFilterStartups:
             and s.startup_id in funded
         ]
         assert list(kept.startups.ids) == expected
+        kept_rounds = [r for r in rounds if r.startup_id in expected]
+        assert rows(kept.rounds) == kept_rounds
+        # every stored investor tuple belongs to a kept round
+        investors = kept.rounds.investors
+        assert set(investors.codes.tolist()) == set(range(len(investors.values)))
+        assert SectorActivity.from_dataset(kept).investor_ids == tuple(
+            sorted({iid for r in kept_rounds for iid in r.investor_ids}))
 
         twice = filter_startups(kept)
         assert rows(twice.startups) == rows(kept.startups)
@@ -533,11 +543,8 @@ def _stored_columns(dataset):
         "startup": rounds.startup.tolist(),
         "startup_ids": rounds.startup_ids,
         **{name: (getattr(rounds, name).codes.tolist(), getattr(rounds, name).values)
-           for name in ("announced", "stage")},
+           for name in ("announced", "stage", "investors")},
         "amount": [None if math.isnan(a) else a for a in rounds.amount.tolist()],
-        "investor_offsets": rounds.investor_offsets.tolist(),
-        "investor_codes": rounds.investor_codes.tolist(),
-        "investor_vocab": rounds.investor_vocab,
         "investors": dataset.investors,
     }
 
