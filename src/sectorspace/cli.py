@@ -96,7 +96,7 @@ def _config(args: argparse.Namespace) -> None:
         if not Path(path).is_file():
             raise SectorSpaceError(f"--{name}: no such file: {path}")
         setattr(args, name, Path(path))
-    args.exclude_sectors = tuple(v for v in (args.exclude_sector or DEFAULT_EXCLUDES) if v)
+    args.exclude_sectors = tuple(v for v in (args.exclude_sectors or DEFAULT_EXCLUDES) if v)
     args.stage = STAGE_FLAGS[args.stage] if args.stage else None
     args.out = Path(args.out)
 
@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--years", type=_parse_range, default=DEFAULT_YEARS,
                         metavar="FIRST:LAST", help="inclusive year window")
     common.add_argument("--country", default=DEFAULT_COUNTRY)
-    common.add_argument("--exclude-sector", action="append", metavar="TAG",
+    common.add_argument("--exclude-sector", action="append", dest="exclude_sectors",
+                        metavar="TAG",
                         help=f"parent tag to drop (default: {', '.join(DEFAULT_EXCLUDES)}; "
                              "pass an empty string to keep everything)")
     common.add_argument("--stage", choices=sorted(STAGE_FLAGS), default=None,

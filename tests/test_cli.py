@@ -163,7 +163,7 @@ class TestParser:
         args = cli.build_parser().parse_args(["all"])
         assert args.years == range(2000, 2018) == profiles.DEFAULT_YEARS
         assert args.country == "USA" == ingest.DEFAULT_COUNTRY
-        assert args.exclude_sector is None
+        assert args.exclude_sectors is None
         assert cli.DEFAULT_EXCLUDES == ("Health Care",)
         assert args.tol == 1e-6 == tca.DEFAULT_TOL
         assert args.r_range == range(1, 9)

@@ -542,10 +542,10 @@ def _stored_columns(dataset):
         "round ids": rounds.ids,
         "startup": rounds.startup.tolist(),
         "startup_ids": rounds.startup_ids,
-        **{name: (getattr(rounds, name).codes.tolist(), getattr(rounds, name).values)
+        **{f"round {name}": (getattr(rounds, name).codes.tolist(), getattr(rounds, name).values)
            for name in ("announced", "stage", "investors")},
         "amount": [None if math.isnan(a) else a for a in rounds.amount.tolist()],
-        "investors": dataset.investors,
+        "investor table": dataset.investors,
     }
 
 
