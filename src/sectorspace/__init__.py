@@ -6,6 +6,8 @@ the investor x sector x year activity tensor, distance and concentration
 metrics with uncertainty propagation, and synthetic ecosystems with
 planted ground truth to verify all of it.
 """
+__version__ = "0.1.0"  # pyproject.toml reads it; run manifests record it
+
 from .errors import (
     AnalysisError,
     IntegrityError,

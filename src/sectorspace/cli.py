@@ -21,6 +21,7 @@ from .ingest import (
     DEFAULT_COUNTRY,
     StageClass,
     ValidatedDataset,
+    classify_stage,
     filter_startups,
     load_dataset,
     validate_dataset,
@@ -116,7 +117,8 @@ def _load(args: argparse.Namespace, stages=()
 
     The filtered one is checked against the flags of the ``stages`` to run:
     every stage but ``profiles`` needs a kept round inside ``--years``,
-    ``pca`` at least ``--pca-dim`` kept sectors and ``spread`` two.
+    ``pca`` at least ``--pca-dim`` kept sectors, ``spread`` two, and ``tca``
+    kept rounds of ``--stage`` in two of those years.
     ``--strict-tags`` makes unknown tags an error.
     """
     raw = load_dataset(args.startups, args.rounds, args.investors, args.ontology)
@@ -136,6 +138,14 @@ def _load(args: argparse.Namespace, stages=()
     if "spread" in stages and n_sectors < 2:
         raise SectorSpaceError(
             f"spread needs 2 kept sectors for its 2-D heatmap plane; {n_sectors} kept")
+    if "tca" in stages:
+        rounds = dataset.rounds
+        staged = rounds.stage.rows_where(lambda label: args.stage in (None, classify_stage(label)))
+        n_years = len(set(rounds.year[staged].tolist()) & set(args.years))
+        if n_years < 2:
+            raise SectorSpaceError(f"tca needs kept rounds in 2 years of --years "
+                                   f"{args.years[0]}:{args.years[-1]} for its temporal "
+                                   f"factors; {n_years} kept")
     return raw, dataset
 
 

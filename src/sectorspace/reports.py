@@ -26,14 +26,6 @@ if TYPE_CHECKING:  # annotations only: every other module may import this one
     from .profiles import ProfileTable
     from .tca import CPModel, FitDiagnostics
 
-try:
-    from importlib.metadata import version as _dist_version
-
-    VERSION = _dist_version("sectorspace")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.0.0"
-
-
 def _write_atomically(path, write) -> Path:
     """Run ``write(handle)`` on a same-directory temp file, then move it onto ``path``.
 
@@ -204,11 +196,14 @@ def write_manifest(path, command: str, config: dict, inputs: dict[str, str | Pat
                    results: dict | None = None) -> Path:
     """Record what ran: config echo, package version, input digests, key results.
 
-    Written atomically, like the CSVs.
+    Written atomically, like the CSVs. The version is ``sectorspace.__version__``,
+    which the package sets before it imports any module.
     """
+    from . import __version__
+
     manifest = {
         "command": command,
-        "version": VERSION,
+        "version": __version__,
         "config": config,
         "inputs": {
             name: {"path": str(p), "sha256": sha256_digest(p)}

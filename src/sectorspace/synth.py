@@ -8,9 +8,12 @@ passes ingest validation with zero warnings.
 
 The bytes of an ecosystem rest on one contract: the order, kind and size
 of the calls :func:`generate_ecosystem` makes on its random stream (its
-docstring lists them). How the draws are then formatted into tables is
-free to change; the test suite checks the files against a row-at-a-time
-reference that consumes the same stream.
+docstring lists them). A sector draw is the one ``Generator.choice``
+makes, ``random`` searched in the mixture's CDF, with the mixture checked
+and its CDF built once per archetype, stage and year (:func:`mixture_cdf`).
+How the draws are then formatted into tables is free to change; the test
+suite checks the files against a row-at-a-time reference that consumes the
+same stream through ``choice``.
 """
 from __future__ import annotations
 
@@ -271,6 +274,27 @@ def mixture_for(config: ScenarioConfig, arch: ArchetypeSpec, stage: StageClass,
     return m
 
 
+# the tolerance Generator.choice allows on the sum of ``p``
+CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def mixture_cdf(mixture: np.ndarray) -> np.ndarray:
+    """The normalized CDF that ``Generator.choice`` builds from ``p=mixture``.
+
+    ``mixture`` is checked as ``choice`` checks ``p``: no negative entry
+    and a sum of 1 within ``CHOICE_ATOL``. Then
+    ``cdf.searchsorted(rng.random(n), side="right")`` takes the same doubles
+    from ``rng`` and gives the same indices as
+    ``rng.choice(len(mixture), n, p=mixture)``, without checking ``p`` again
+    on every call.
+    """
+    if not ((mixture >= 0).all() and abs(math.fsum(mixture) - 1.0) <= CHOICE_ATOL):
+        raise AnalysisError("sector mixture is not a probability vector")
+    cdf = mixture.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class EcosystemFiles:
     startups: Path
@@ -291,11 +315,12 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     Draw order: one ``default_rng(config.seed)`` stream, consumed per
     archetype, investor, year (inside the active window) and stage in
     ``StageClass`` order as ``poisson`` (rounds that year), ``multinomial``
-    (split over stages), then for each stage with rounds ``choice``
-    (sectors), ``integers`` (months), ``integers`` (days) and
-    ``lognormal`` (amounts), each sized to that stage's rounds. Rounds are
-    numbered in the same order. The tables are formatted from the
-    concatenated draws after the loop, so only these calls decide the bytes.
+    (split over stages), then for each stage with rounds ``random``
+    (sectors, searched in the mixture's CDF: the draw ``choice`` makes),
+    ``integers`` (months), ``integers`` (days) and ``lognormal`` (amounts),
+    each sized to that stage's rounds. Rounds are numbered in the same
+    order. The tables are formatted from the concatenated draws after the
+    loop, so only these calls decide the bytes.
     """
     config.validate()
     out_dir = Path(out_dir)
@@ -308,23 +333,24 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     archetype_of: dict[str, str] = {}
     cohorts: dict[str, list[str]] = {}
     # one cell per investor, year and stage with rounds:
-    # (investor number, year, stage number, rounds), and the cell's draws
+    # (investor number, year's position in config.years, stage number, rounds),
+    # and the cell's draws
     cells: list[tuple[int, int, int, int]] = []
     drawn, months, days, amounts = [], [], [], []
 
     for arch in config.archetypes:
         stage_probs = np.array([arch.stage_weights.get(s, 0.0) for s in stage_order])
         stage_probs = stage_probs / stage_probs.sum()
-        active_years = [y for y in config.years
+        active_years = [(year_no, y) for year_no, y in enumerate(config.years)
                         if arch.active_window is None or y in arch.active_window]
-        mixtures: dict[tuple[StageClass, int], np.ndarray] = {}
+        cdfs: dict[tuple[int, int], np.ndarray] = {}
         for _ in range(arch.count):
             investor_no = len(investor_rows)
             investor_id = f"inv_{investor_no:05d}"
             investor_rows.append([investor_id, f"{arch.name} {investor_no + 1}", arch.type_label])
             archetype_of[investor_id] = arch.name
             cohorts.setdefault(arch.name, []).append(investor_id)
-            for year in active_years:
+            for year_no, year in active_years:
                 n_rounds = int(rng.poisson(arch.activity_rate))
                 if n_rounds == 0:
                     continue
@@ -332,40 +358,41 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
                 for stage_no, n_stage in enumerate(stage_counts.tolist()):
                     if n_stage == 0:
                         continue
-                    stage = stage_order[stage_no]
-                    if (stage, year) not in mixtures:
-                        mixtures[stage, year] = mixture_for(config, arch, stage, year)
-                    drawn.append(rng.choice(config.n_sectors, size=n_stage,
-                                            p=mixtures[stage, year]))
+                    cdf = cdfs.get((stage_no, year_no))
+                    if cdf is None:
+                        cdf = cdfs[stage_no, year_no] = mixture_cdf(
+                            mixture_for(config, arch, stage_order[stage_no], year))
+                    drawn.append(cdf.searchsorted(rng.random(n_stage), side="right"))
                     months.append(rng.integers(1, 13, size=n_stage))
                     days.append(rng.integers(1, 29, size=n_stage))
-                    amounts.append(STAGE_AMOUNT_BASE[stage] * rng.lognormal(
-                        0.0, 0.4, size=n_stage))
-                    cells.append((investor_no, year, stage_no, n_stage))
+                    amounts.append(rng.lognormal(0.0, 0.4, size=n_stage))
+                    cells.append((investor_no, year_no, stage_no, n_stage))
 
     def joined(parts):
-        return np.concatenate(parts or [np.zeros(0, dtype=np.int64)]).tolist()
+        return np.concatenate(parts or [np.zeros(0, dtype=np.int64)])
+
+    def taken(values, index):
+        return np.array(values, dtype=object)[index].tolist()
 
     cell_table = np.array(cells, dtype=np.int64).reshape(-1, 4)
-    investor_nos, years, stage_nos = np.repeat(
-        cell_table[:, :3], cell_table[:, 3], axis=0).T.tolist()
-    n = len(years)
-    investor_ids = [row[0] for row in investor_rows]
-    stage_labels = [STAGE_LABELS[stage] for stage in stage_order]
-    founded = {y: dt.date(y, 1, 2).isoformat() for y in config.years}
-    announced = {(y, m, d): dt.date(y, m, d).isoformat()
-                 for y in config.years for m in range(1, 13) for d in range(1, 29)}
-    startup_ids = [f"stp_{i:06d}" for i in range(n)]
+    investor_nos, year_nos, stage_nos = np.repeat(
+        cell_table[:, :3], cell_table[:, 3], axis=0).T
+    n = len(year_nos)
+    stage_base = np.array([STAGE_AMOUNT_BASE[stage] for stage in stage_order])
+    founded = [dt.date(y, 1, 2).isoformat() for y in config.years]
+    announced = [dt.date(y, m, d).isoformat()
+                 for y in config.years for m in range(1, 13) for d in range(1, 29)]
+    digits = ["%06d" % i for i in range(n)]
+    startup_ids = list(map("stp_".__add__, digits))
     startup_rows = zip(
-        startup_ids, [f"Startup {i + 1}" for i in range(n)], repeat("USA"),
-        repeat("active"), map(founded.__getitem__, years),
-        map(sectors.__getitem__, joined(drawn)))
+        startup_ids, [f"Startup {i}" for i in range(1, n + 1)], repeat("USA"),
+        repeat("active"), taken(founded, year_nos), taken(sectors, joined(drawn)))
     round_rows = zip(
-        [f"rnd_{i:06d}" for i in range(n)], startup_ids,
-        map(announced.__getitem__, zip(years, joined(months), joined(days))),
-        map(stage_labels.__getitem__, stage_nos),
-        map(repr, map(round, joined(amounts), repeat(2))),
-        map(investor_ids.__getitem__, investor_nos))
+        map("rnd_".__add__, digits), startup_ids,
+        taken(announced, (year_nos * 12 + joined(months) - 1) * 28 + joined(days) - 1),
+        taken([STAGE_LABELS[stage] for stage in stage_order], stage_nos),
+        map(repr, map(round, (stage_base[stage_nos] * joined(amounts)).tolist(), repeat(2))),
+        taken([row[0] for row in investor_rows], investor_nos))
 
     ontology = SectorOntology(parent_tags=sectors, version=f"synth-{config.name}")
     files = EcosystemFiles(

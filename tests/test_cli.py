@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sectorspace
 from sectorspace import cli, ingest, pca, profiles, synth, tca
 from sectorspace.ontology import SectorOntology, dump_ontology
 from sectorspace.reports import sha256_digest
@@ -217,6 +218,24 @@ class TestEmptySelection:
         manifest = json.loads((out / "manifest_profiles.json").read_text())
         assert manifest["results"]["profiles"] == 0
 
+    @pytest.mark.parametrize("command", ["all", "tca"])
+    def test_tca_needs_two_years_before_writing(self, smoke_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = cli.main([command, *table_flags(smoke_dir), "--years", "2009", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: tca needs kept rounds in 2 years of --years 2009:2009 for its "
+            "temporal factors; 1 kept\n")
+        assert not out.exists()
+
+    def test_tca_counts_the_years_of_the_kept_stage(self, tmp_path, capsys):
+        data = counts_to_tables(np.ones((3, 2, 3)), tmp_path / "seed")  # seed rounds only
+        out = tmp_path / "out"
+        code = cli.main(["tca", *table_flags(data), "--stage", "a", "--out", str(out)])
+        assert code == 1
+        assert "tca needs kept rounds in 2 years" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_year_inside_the_window_is_enough(self, smoke_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["spread", *table_flags(smoke_dir), "--years", "2013:2020",
@@ -339,6 +358,7 @@ class TestAll:
         assert sorted(manifest["results"]) == [
             "distances", "pca", "profiles", "spread", "tca"
         ]
+        assert manifest["version"] == sectorspace.__version__
         assert manifest["config"]["years"] == [2008, 2013]
         assert manifest["results"]["tca"]["chosen_R"] in (1, 2, 3)
         assert manifest["results"]["distances"]["pairs"] == [

@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorspace.errors import AnalysisError
 from sectorspace.ingest import (INVESTOR_COLUMNS, ROUND_COLUMNS, STARTUP_COLUMNS, StageClass,
@@ -18,6 +20,7 @@ from sectorspace.profiles import (ProfileOptions, SectorActivity, build_profiles
                                   profiles_by_year)
 from sectorspace.reports import write_rows
 from sectorspace.synth import (
+    CHOICE_ATOL,
     SCENARIOS,
     STAGE_AMOUNT_BASE,
     STAGE_LABELS,
@@ -30,6 +33,7 @@ from sectorspace.synth import (
     convergence_scenario,
     generate_cp_tensor,
     generate_ecosystem,
+    mixture_cdf,
     mixture_for,
 )
 from sectorspace.tca import cp_als, factor_match_score, reconstruction_error
@@ -131,6 +135,7 @@ ORACLE_CONFIGS = {
     **{f"{name}-{seed}": partial(factory, seed=seed)
        for name, factory in SCENARIOS.items() for seed in range(3)},
     "convergence-x3": partial(_scaled_convergence, 3),
+    "every-other-year": partial(baseline_scenario, seed=0, years=range(2006, 2016, 2)),
     "no-rounds": partial(baseline_scenario, seed=0, n_investors=2, rate=1e-9),
 }
 
@@ -143,6 +148,51 @@ def test_files_match_row_at_a_time_reference(key, tmp_path):
     for name in FILE_NAMES:
         assert (tmp_path / "columnar" / name).read_bytes() == \
             (tmp_path / "reference" / name).read_bytes(), name
+
+
+@st.composite
+def mixtures(draw):
+    """Probability vectors over 1-15 sectors, some entries zero."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=1, max_size=15).filter(any))
+    return np.array(weights) / sum(weights)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixture=mixtures(), size=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_cdf_draws_match_generator_choice(mixture, size, seed):
+    """Searching ``random`` draws in the CDF is ``choice``'s draw: same indices,
+    same stream position afterwards."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = mixture_cdf(mixture).searchsorted(ours.random(size), side="right")
+    chosen = theirs.choice(len(mixture), size, p=mixture)
+    assert drawn.dtype == chosen.dtype
+    assert drawn.tolist() == chosen.tolist()
+    assert ours.random() == theirs.random()
+
+
+@settings(deadline=None, max_examples=100)
+@given(mixture=mixtures(), entry=st.integers(0, 14), negative=st.floats(1e-12, 1.0),
+       off=st.floats(2 * CHOICE_ATOL, 0.5), sign=st.sampled_from([-1.0, 1.0]))
+def test_cdf_refuses_what_choice_refuses(mixture, entry, negative, off, sign):
+    with_negative = mixture.copy()
+    with_negative[entry % len(mixture)] = -negative
+    off_sum = mixture * (1.0 + sign * off)
+    for bad in (with_negative, off_sum):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(bad), 3, p=bad)
+        with pytest.raises(AnalysisError, match="probability vector"):
+            mixture_cdf(bad)
+    near = mixture * (1.0 + sign * off * CHOICE_ATOL)  # within half the tolerance
+    np.random.default_rng(0).choice(len(near), 3, p=near)
+    mixture_cdf(near)
+
+
+def test_generate_ecosystem_prints_nothing(tmp_path, capsys):
+    """The benchmark's set-up child runs this generator and sends its result
+    as the whole of its stdout."""
+    generate_ecosystem(baseline_scenario(seed=0, n_investors=3, rate=4.0), tmp_path)
+    assert capsys.readouterr() == ("", "")
 
 
 class TestGenerateCPTensor:
