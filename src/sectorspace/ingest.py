@@ -1,6 +1,7 @@
 """Loading, validation and filtering of the raw funding tables.
 
-File formats (UTF-8 CSV with header row, RFC-4180 quoting):
+File formats (UTF-8 CSV, with or without a byte order mark, with header
+row, RFC-4180 quoting):
 
 * ``startups.csv``  -- startup_id,name,country_code,status,founded_date,tags
   (``tags`` pipe-delimited)
@@ -8,16 +9,20 @@ File formats (UTF-8 CSV with header row, RFC-4180 quoting):
   (``investor_ids`` pipe-delimited, ``amount_usd`` may be empty = unknown)
 * ``investors.csv`` -- investor_id,name,type_label
 
-The startup and round tables are held as columns. Each CSV is read once
-into one list of cells per column, and each distinct cell value is
-converted once: statuses, dates, tag sets and stage labels become
-:class:`Categorical` columns (codes into the distinct values), amounts a
-float array (NaN = unknown), the startup of each round a row index into
-the startup table, and the investors of each round a :class:`Categorical`
-of id tuples, like the startups' tags. No row object is built:
-filtering, accumulation and :func:`dump_dataset` read the columns of
-:class:`StartupTable` and :class:`RoundTable`. The investor table stays a
-tuple of :class:`RawInvestor` records.
+The startup and round tables are held as columns. Each CSV is read once,
+row by row. Ids, names, startup keys and amounts, which are mostly
+distinct, are kept as one list of cells per column. Every other column is
+encoded as it is read: each row keeps only the code of its cell, and each
+distinct cell is kept once, so a :class:`Categorical` of raw cells comes
+out of the reader. Each distinct cell is then converted once
+(:meth:`Categorical.convert`): statuses, dates, tag sets, stage labels
+and the investors of each round (id tuples, like the startups' tags)
+stay :class:`Categorical` columns of converted values. Amounts become a
+float array (NaN = unknown) and the startup of each round a row index
+into the startup table. No row object is built: filtering, accumulation
+and :func:`dump_dataset` read the columns of :class:`StartupTable` and
+:class:`RoundTable`. The investor table stays a tuple of
+:class:`RawInvestor` records.
 
 The loaded dataset is immutable by convention and safe to share across
 concurrent readers.
@@ -98,19 +103,15 @@ class Categorical:
     codes: np.ndarray
     values: tuple
 
-    @classmethod
-    def encode(cls, cells, convert) -> "Categorical":
-        """Encode ``cells``, running ``convert`` once per distinct cell.
+    def convert(self, convert) -> "Categorical":
+        """The column with ``convert`` applied, run once per distinct value.
 
-        Cells whose converted values are equal share one code; values are
+        Values that convert to equal results share one code; the results are
         numbered in order of first appearance.
         """
-        code_of = dict.fromkeys(cells)
-        values: dict = {}
-        for cell in code_of:
-            code_of[cell] = values.setdefault(convert(cell), len(values))
-        codes = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
-        return cls(codes, tuple(values))
+        numbered: dict = {}
+        recode = [numbered.setdefault(convert(value), len(numbered)) for value in self.values]
+        return Categorical(np.array(recode, dtype=np.intp)[self.codes], tuple(numbered))
 
     def __getitem__(self, row: int):
         return self.values[self.codes[row]]
@@ -304,35 +305,55 @@ def _find(items: list, item) -> int | None:
     return items.index(item) if item in items else None
 
 
-def _read_columns(path, columns: list[str]) -> tuple[list[list[str]], int | None]:
-    """Read the cells of ``columns`` into one list per column.
+def _read_columns(path, columns: list[str], encoded=()) -> tuple[list, int | None]:
+    """Read the cells of ``columns``: one list per column, except that a
+    column named in ``encoded`` comes as a :class:`Categorical` of its raw
+    cells, each row's cell replaced by its code as the row is read.
 
     Blank lines are skipped and not numbered, so data row ``i`` (from 0) is
     row ``i + 2`` of the file. Reading stops at the first row too short to
     hold every column; its index is returned (``None`` if there is none),
-    so that a bad row before it is reported first.
+    so that a bad row before it is reported first. The file is UTF-8, with
+    or without a byte order mark.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        position = {name: i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in position]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        cells: list[list[str]] = [[] for _ in columns]
-        picks = [(column.append, position[name]) for column, name in zip(cells, columns)]
-        width = max(i for _, i in picks) + 1
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                return cells, len(cells[0])
-            for append, i in picks:
-                append(row[i])
-    return cells, None
+    cells = [[] for _ in columns]
+    cell_codes = {name: {} for name in encoded}
+    short_row = None
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in position]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            plain = [(column.append, position[name])
+                     for column, name in zip(cells, columns) if name not in cell_codes]
+            coded = [(column.append, cell_codes[name], position[name])
+                     for column, name in zip(cells, columns) if name in cell_codes]
+            width = max(position[name] for name in columns) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    short_row = len(cells[0])
+                    break
+                for append, i in plain:
+                    append(row[i])
+                for append, code_of, i in coded:
+                    cell = row[i]
+                    code = code_of.get(cell)
+                    if code is None:
+                        code = code_of[cell] = len(code_of)
+                    append(code)
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
+    return [Categorical(np.array(column, dtype=np.intp), tuple(cell_codes[name]))
+            if name in cell_codes else column
+            for column, name in zip(cells, columns)], short_row
 
 
 def _check(path, short_row: int | None, *faults) -> None:
@@ -350,16 +371,19 @@ def _check(path, short_row: int | None, *faults) -> None:
         raise SchemaError(f"{Path(path)}:{short_row + 2}: short row")
 
 
-def _load_startups(path) -> StartupTable:
+def _load_startups(path) -> tuple[StartupTable, dict[str, int]]:
+    """The startup table and the row of each startup id."""
     (ids, names, countries, statuses, founded, tags), short_row = _read_columns(
-        path, STARTUP_COLUMNS)
+        path, STARTUP_COLUMNS, ("country_code", "status", "founded_date", "tags"))
     ids = list(map(str.strip, ids))
-    status = Categorical.encode(statuses, _parse_status)
-    founded_on = Categorical.encode(founded, _parse_date)
+    row_of = dict(zip(ids, range(len(ids))))
+    status = statuses.convert(_parse_status)
+    founded_on = founded.convert(_parse_date)
     _check(
         path, short_row,
         (_find(ids, ""), lambda _: "empty startup_id"),
-        (_first_repeat(ids), lambda i: f"duplicate startup_id {ids[i]!r}"),
+        (None if len(row_of) == len(ids) else _first_repeat(ids),
+         lambda i: f"duplicate startup_id {ids[i]!r}"),
         (_first(status.rows_where(lambda v: v is None)),
          lambda i: f"unknown status {statuses[i]!r}"),
         (_first(founded_on.rows_where(lambda v: v is None)),
@@ -368,11 +392,11 @@ def _load_startups(path) -> StartupTable:
     return StartupTable(
         ids=tuple(ids),
         names=tuple(names),
-        country=Categorical.encode(countries, str.strip),
+        country=countries.convert(str.strip),
         status=status,
         founded=founded_on,
-        tags=Categorical.encode(tags, _split_list),
-    )
+        tags=tags.convert(_split_list),
+    ), row_of
 
 
 def _load_investors(path) -> tuple[RawInvestor, ...]:
@@ -389,15 +413,15 @@ def _load_investors(path) -> tuple[RawInvestor, ...]:
     return tuple(map(RawInvestor, ids, names, labels))
 
 
-def _load_rounds(path, startups: StartupTable,
+def _load_rounds(path, startups: StartupTable, startup_row: dict[str, int],
                  investors: tuple[RawInvestor, ...]) -> RoundTable:
-    (ids, sids, announced, stages, amounts, members), short_row = _read_columns(
-        path, ROUND_COLUMNS)
+    (ids, sids, announced, stages, amounts, member_cells), short_row = _read_columns(
+        path, ROUND_COLUMNS, ("announced_date", "stage_label", "investor_ids"))
     ids = list(map(str.strip, ids))
-    announced_on = Categorical.encode(announced, _parse_date)
+    announced_on = announced.convert(_parse_date)
     parsed = list(map(_parse_amount, amounts))  # amounts are mostly distinct
     amount = np.array(parsed, dtype=float)
-    members = Categorical.encode(members, _split_list)
+    members = member_cells.convert(_split_list)
     _check(
         path, short_row,
         (_find(ids, ""), lambda _: "empty round_id"),
@@ -410,8 +434,8 @@ def _load_rounds(path, startups: StartupTable,
          lambda i: f"investor {_repeated(members[i])!r} listed twice"),
     )
 
-    row_of = dict(zip(startups.ids, range(len(startups))))
-    startup = np.fromiter(map(row_of.get, map(str.strip, sids), repeat(-1)), np.intp, len(ids))
+    startup = np.fromiter(map(startup_row.get, map(str.strip, sids), repeat(-1)), np.intp,
+                          len(ids))
     known = {inv.investor_id for inv in investors}
     lost_members = members.rows_where(lambda v: not known.issuperset(v))
     dangling = []
@@ -424,7 +448,7 @@ def _load_rounds(path, startups: StartupTable,
         raise IntegrityError("dangling foreign keys: " + "; ".join(dangling))
 
     return RoundTable(tuple(ids), startup, startups.ids, announced_on,
-                      Categorical.encode(stages, str.strip), amount, members)
+                      stages.convert(str.strip), amount, members)
 
 
 def load_dataset(startups_path, rounds_path, investors_path,
@@ -437,9 +461,9 @@ def load_dataset(startups_path, rounds_path, investors_path,
     parses, :class:`IntegrityError` listing every dangling foreign key.
     """
     ontology = default_ontology() if ontology_path is None else load_ontology(ontology_path)
-    startups = _load_startups(startups_path)
+    startups, startup_row = _load_startups(startups_path)
     investors = _load_investors(investors_path)
-    rounds = _load_rounds(rounds_path, startups, investors)
+    rounds = _load_rounds(rounds_path, startups, startup_row, investors)
     return ValidatedDataset(startups=startups, rounds=rounds, investors=investors,
                             ontology=ontology)
 

@@ -81,21 +81,33 @@ class SectorOntology:
         return frozenset(parents), tuple(unknown)
 
 
+def _is_tag_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(tag, str) for tag in value)
+
+
 def load_ontology(path) -> SectorOntology:
-    """Load an ontology from a JSON file.
+    """Load an ontology from a JSON file (UTF-8, with or without a byte order mark).
 
     Expected shape: ``{"parent_tags": [...], "child_map": {child: [parents]},
-    "version": "..."}``. ``child_map`` and ``version`` are optional.
+    "version": "..."}``. ``child_map`` and ``version`` are optional. A file
+    that is not UTF-8 JSON of this shape raises :class:`OntologyError`.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError:
+        raise OntologyError(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise OntologyError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or "parent_tags" not in raw:
         raise OntologyError(f"{path}: expected a JSON object with a 'parent_tags' list")
-    child_map = {
-        child: frozenset(parents) for child, parents in raw.get("child_map", {}).items()
-    }
+    if not _is_tag_list(raw["parent_tags"]):
+        raise OntologyError(f"{path}: 'parent_tags' must be a list of strings")
+    child_map = raw.get("child_map", {})
+    if not isinstance(child_map, dict) or not all(map(_is_tag_list, child_map.values())):
+        raise OntologyError(f"{path}: 'child_map' must map each tag to a list of strings")
     return SectorOntology(
         parent_tags=tuple(raw["parent_tags"]),
-        child_map=child_map,
+        child_map={child: frozenset(parents) for child, parents in child_map.items()},
         version=str(raw.get("version", "unversioned")),
     )
 

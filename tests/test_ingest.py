@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sectorspace import cli
 from sectorspace.errors import IntegrityError, SchemaError
 from sectorspace.ingest import (
     INVESTOR_COLUMNS,
@@ -21,6 +22,7 @@ from sectorspace.ingest import (
     RawInvestor,
     StageClass,
     StartupStatus,
+    _read_columns,
     classify_stage,
     dump_dataset,
     filter_startups,
@@ -188,6 +190,26 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=r"rounds\.csv:5: short row"):
             load_dataset(*paths)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, small_ontology):
+        startups = GOOD_STARTUPS.replace("Software", "Alpha").replace("Health Care", "Beta")
+        paths = write_tables(tmp_path, startups, GOOD_ROUNDS, GOOD_INVESTORS, small_ontology)
+        plain = load_dataset(*paths)
+        for path in paths:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_dataset(*paths)
+        assert rows(marked.startups) == rows(plain.startups)
+        assert rows(marked.rounds) == rows(plain.rounds)
+        assert marked.investors == plain.investors
+        assert marked.ontology == plain.ontology
+
+    def test_non_utf8_bytes_exit_with_error_line(self, tmp_path, capsys):
+        paths = write_tables(tmp_path, GOOD_STARTUPS, GOOD_ROUNDS, GOOD_INVESTORS)
+        paths[0].write_bytes(paths[0].read_bytes().replace(b"Two", b"Tw\xe9"))
+        code = cli.main(["validate", "--startups", str(paths[0]), "--rounds", str(paths[1]),
+                         "--investors", str(paths[2])])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {paths[0]}: not UTF-8 text\n"
+
     def test_columns_in_any_order(self, tmp_path):
         paths = write_tables(tmp_path, GOOD_STARTUPS, GOOD_ROUNDS, GOOD_INVESTORS)
         paths[2].write_text("type_label,extra,investor_id,name\n"
@@ -206,6 +228,31 @@ class TestLoadDataset:
         )
         dataset = load_dataset(*paths)
         assert dataset.ontology.parent_tags == small_ontology.parent_tags
+
+
+def test_encoded_columns_hold_the_plain_cells(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("id,stage,amount\n"
+                    "r1, Seed ,1\n"
+                    "\n"
+                    "r2,seed,2\n"
+                    "r3,Seed ,3\n"
+                    "r4, Seed ,4\n"
+                    "r5\n"
+                    "r6,seed,5\n", encoding="utf-8")
+    columns = ["id", "stage", "amount"]
+    plain, short_row = _read_columns(path, columns)
+    coded, coded_short_row = _read_columns(path, columns, ("stage", "amount"))
+    assert short_row == coded_short_row == 4
+    assert coded[0] == plain[0] == ["r1", "r2", "r3", "r4"]
+    for column, cells in zip(coded[1:], plain[1:]):
+        assert [column[row] for row in range(len(cells))] == cells
+        assert len(column.codes) == len(cells)
+    stage = coded[1]
+    assert stage.values == (" Seed ", "seed", "Seed ")
+    stripped = stage.convert(str.strip)
+    assert stripped.values == ("Seed", "seed")
+    assert stripped.codes.tolist() == [0, 1, 0, 0]
 
 
 class TestRoundTrip:
@@ -530,6 +577,14 @@ def test_loader_matches_row_by_row_reference(tmp_path_factory, data):
         assert rows(got.startups) == expected[0]
         assert rows(got.rounds) == expected[1]
         assert list(got.investors) == expected[2]
+        for table, names in ((got.startups, ("country", "status", "founded", "tags")),
+                             (got.rounds, ("announced", "stage", "investors"))):
+            for name in names:
+                column = getattr(table, name)
+                # values numbered by first appearance, each used by some row
+                assert list(dict.fromkeys(column.codes.tolist())) == list(
+                    range(len(column.values))), name
+                assert len(set(column.values)) == len(column.values), name
 
 
 def _stored_columns(dataset):

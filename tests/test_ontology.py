@@ -74,6 +74,21 @@ def test_load_rejects_wrong_shape(tmp_path):
         load_ontology(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"parent_tags": ["Software"', "invalid JSON"),
+    ('{"parent_tags": "Software"}', "'parent_tags' must be a list of strings"),
+    ('{"parent_tags": ["Software"], "child_map": ["Software"]}',
+     "'child_map' must map each tag to a list of strings"),
+    ('{"parent_tags": ["Software"], "child_map": {"x": "Software"}}',
+     "'child_map' must map each tag to a list of strings"),
+], ids=["invalid-json", "parent-tags-string", "child-map-list", "child-map-string"])
+def test_load_rejects_malformed_shapes(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(OntologyError, match=rf"bad\.json: {message}"):
+        load_ontology(path)
+
+
 def test_default_ontology_has_28_parents():
     onto = default_ontology()
     assert onto.n_sectors == 28
