@@ -8,17 +8,19 @@ import csv
 import datetime as dt
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ontology, make_profiles
+from conftest import make_ontology, make_profiles, stack_profiles
 from sectorspace import reports, svgplot, synth
 from sectorspace.metrics import DistanceSeries, HeatmapGrid
 from sectorspace.ontology import dump_ontology
@@ -63,14 +65,18 @@ def _cell(value) -> str:
     raise TypeError(f"cannot format {type(value).__name__} as a CSV cell")
 
 
-def cell_formatted(header, rows) -> bytes:
-    """The bytes of a CSV whose cells went through ``_cell``."""
+def csv_written(header, rows) -> bytes:
+    """The bytes :mod:`csv` writes for ``header`` and ``rows``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(value) for value in row])
+    writer.writerows(rows)
     return buffer.getvalue().encode("utf-8")
+
+
+def cell_formatted(header, rows) -> bytes:
+    """The bytes of a CSV whose cells went through ``_cell``."""
+    return csv_written(header, ([_cell(value) for value in row] for row in rows))
 
 
 def tiny_scenario(seed=0):
@@ -87,6 +93,25 @@ class TestWriteRows:
         rows = [["Four, Inc.", 'say "hi"'], ["line\nbreak", "plain"]]
         path = write_rows(tmp_path / "q.csv", ["name", "note"], rows)
         assert read_csv(path) == [["name", "note"]] + rows
+
+        # tables of several chunks, text but for ints and floats in the third,
+        # with cells that csv quotes or writes as they are in the first, a
+        # middle, the last and across two chunks
+        chunk = reports.CHUNK_ROWS
+        special = ["Four, Inc.", 'say "hi"', "line\nbreak", "cr\rhere", "tab\there",
+                   "  leading", "Zürich €", ""]
+        n = 3 * chunk + 2
+        for cell, at in itertools.product(special, (0, chunk + 5, 3 * chunk - 1, n - 2)):
+            rows = [[f"id{i}", i, i / 7] if i // chunk == 2 else [f"id{i}", str(i), repr(i / 7)]
+                    for i in range(n)]
+            rows[at:at + 2] = [[cell, "x", cell]] * 2
+            path = write_rows(tmp_path / "mixed.csv", ["id", "a", "b"], rows)
+            assert path.read_bytes() == csv_written(["id", "a", "b"], rows), (cell, at)
+
+            column = [[f"{i}"] for i in range(n)]
+            column[at:at + 2] = [[cell]] * 2
+            path = write_rows(tmp_path / "column.csv", ["only"], column)
+            assert path.read_bytes() == csv_written(["only"], column), (cell, at)
 
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
     def test_mode_matches_open(self, tmp_path, umask):
@@ -113,6 +138,13 @@ class TestWriteRows:
     def test_width_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="row width"):
             write_rows(tmp_path / "bad.csv", ["a", "b"], [[1]])
+        # the bad row sits after chunks that were written as joined text
+        path = write_rows(tmp_path / "keep.csv", ["a", "b"], [["x", "y"]])
+        rows = [["x", "y"]] * (2 * reports.CHUNK_ROWS + 3) + [["z"]]
+        with pytest.raises(ValueError, match=r"row width 1 does not match header \['a', 'b'\]"):
+            write_rows(path, ["a", "b"], rows)
+        assert path.read_bytes() == b"a,b\nx,y\n"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
     def test_failure_leaves_previous_file_intact(self, tmp_path):
         path = tmp_path / "keep.csv"
@@ -129,27 +161,46 @@ class TestWriteRows:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
 
-    @given(
-        rows=st.lists(
-            st.lists(
-                st.text(
-                    alphabet=st.characters(
-                        codec="ascii", min_codepoint=32, max_codepoint=126
-                    )
-                    | st.sampled_from('",\n'),
-                    max_size=12,
-                ),
-                min_size=2,
-                max_size=2,
-            ),
-            max_size=8,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_text_round_trip(self, tmp_path_factory, rows):
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_text_round_trip(self, tmp_path_factory, data):
+        """Any chunk size and width: csv's bytes, and the rows read back."""
+        width = data.draw(st.integers(1, 3))
+        text = st.text(st.sampled_from(list(',"\n\r\t é€ab'))
+                       | st.characters(codec="utf-8", min_codepoint=32), max_size=6)
+        header = data.draw(st.lists(text, min_size=width, max_size=width))
+        rows = data.draw(st.lists(
+            st.lists(text | st.integers() | st.floats(), min_size=width, max_size=width),
+            max_size=14))
         path = tmp_path_factory.mktemp("rt") / "rt.csv"
-        write_rows(path, ["a", "b"], rows)
-        assert read_csv(path) == [["a", "b"]] + rows
+        with mock.patch.object(reports, "CHUNK_ROWS", data.draw(st.integers(1, 4))):
+            write_rows(path, header, rows)
+        assert path.read_bytes() == csv_written(header, rows)
+        if not any("\r" in cell for row in [header, *rows] for cell in map(_cell, row)):
+            # csv quotes only what its line terminator holds, so a lone \r may be
+            # written unquoted, and its reader ends the line there
+            assert read_csv(path) == [[_cell(cell) for cell in row] for row in [header, *rows]]
+
+    def test_large_producers_pass_text(self, tmp_path, monkeypatch):
+        """The large tables reach write_rows as str cells, the chunks it joins
+        without csv; a float or int cell would send its chunk through csv."""
+        cells = []
+
+        def recording(path, header, rows):
+            rows = [list(row) for row in rows]
+            cells.extend(cell for row in [header, *rows] for cell in row)
+            return write_rows(path, header, rows)
+
+        monkeypatch.setattr(synth, "write_rows", recording)
+        monkeypatch.setattr(reports, "write_rows", recording)
+        synth.generate_ecosystem(tiny_scenario(), tmp_path / "eco")
+        profiles = stack_profiles([
+            make_profiles([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]], year=2010, weights=[3, 4]),
+            make_profiles([[0.125, 0.0, 0.875]], year=2011, weights=[8]),
+        ])
+        reports.write_profiles(tmp_path / "profiles.csv", profiles)
+        assert len(cells) > 100
+        assert {type(cell) for cell in cells} == {str}
 
 
 class TestWriters:
