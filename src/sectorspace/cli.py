@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--restarts", type=partial(_parse_above, kind=int, bound=1), default=8)
     common.add_argument("--tol", type=partial(_parse_above, kind=float, bound=0.0),
                         default=tca.DEFAULT_TOL)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=partial(_parse_above, kind=int, bound=-1), default=0)
     common.add_argument("--grid", type=_parse_grid, default=(30, 30), metavar="NXxNY")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--strict-tags", action="store_true",
@@ -433,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth_parser = sub.add_parser("synth", help="generate a planted scenario")
     synth_parser.add_argument("--scenario", required=True,
                               choices=sorted(synth.SCENARIOS))
-    synth_parser.add_argument("--seed", type=int, default=0)
+    synth_parser.add_argument("--seed", type=partial(_parse_above, kind=int, bound=-1),
+                              default=0)
     synth_parser.add_argument("--out", default="out", help="output directory")
     synth_parser.set_defaults(func=cmd_synth)
     return parser

@@ -2,13 +2,14 @@
 
 All writers are deterministic: every cell reaches :func:`write_rows` as a
 ``str``, ``int``, ``bool`` or ``float`` (arrays go through ``.tolist()``),
-and it writes the bytes :mod:`csv` writes, floats with ``repr`` (shortest
-round-tripping form). Chunks of text rows that need no quoting are joined
-as text, any other chunk goes through :mod:`csv`. Rows keep a fixed
-order, line endings are ``\\n``, and files land atomically via a
-same-directory temp file created with the umask applied, as ``open()``
-would. Rerunning a pipeline with identical inputs therefore reproduces
-every byte.
+and it writes the bytes :mod:`csv` writes: floats with ``repr`` (shortest
+round-tripping form), the rest with ``str``, so a bool reads ``True`` or
+``False`` (the ``converged`` column of ``tca_diagnostics.csv``). Chunks of
+text rows that need no quoting are joined as text, any other chunk goes
+through :mod:`csv`. Rows keep a fixed order, line endings are ``\\n``,
+and files land atomically via a same-directory temp file created with the
+umask applied, as ``open()`` would. Rerunning a pipeline with identical
+inputs therefore reproduces every byte.
 """
 from __future__ import annotations
 
@@ -59,10 +60,11 @@ def _write_atomically(path, write) -> Path:
 def write_rows(path, header: list[str], rows) -> Path:
     """Write one CSV atomically, ``CHUNK_ROWS`` rows at a time.
 
-    Cells must be ``str``, ``int`` or ``float`` values, as ``.tolist()``
-    gives them: :mod:`csv` writes a float with ``repr`` but anything else
-    with ``str``, so a bool would come out as ``True`` and a ``float32``
-    as ``0.1`` rather than the ``repr`` of its float64 value.
+    Cells must be ``str``, ``int``, ``bool`` or ``float`` values, as
+    ``.tolist()`` gives them: :mod:`csv` writes a float with ``repr`` but
+    anything else with ``str``, so a bool comes out as ``True`` or ``False``
+    (``write_tca_diagnostics``' ``converged`` column), while a ``float32``
+    would come out as ``0.1`` rather than the ``repr`` of its float64 value.
 
     The header and each chunk of rows are joined with ``,`` and ``\\n`` if
     every cell is a ``str`` that needs no quoting, else written by

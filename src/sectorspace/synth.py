@@ -11,9 +11,13 @@ of the calls :func:`generate_ecosystem` makes on its random stream (its
 docstring lists them). A sector draw is the one ``Generator.choice``
 makes, ``random`` searched in the mixture's CDF, with the mixture checked
 and its CDF built once per archetype, stage and year (:func:`mixture_cdf`).
-How the draws are then formatted into tables is free to change; the test
-suite checks the files against a row-at-a-time reference that consumes the
-same stream through ``choice``.
+A month and day draw is one ``integers`` call bounded by an array, which
+numpy draws element by element, so it takes what a months call and a days
+call would (:func:`month_day_draws`). How the draws are then formatted into
+tables is free to change (amounts are written from integer cents,
+:func:`cents_text`); the test suite checks the files against a
+row-at-a-time reference that consumes the same stream through ``choice``
+and two ``integers`` calls and formats each amount with ``repr(round(x, 2))``.
 """
 from __future__ import annotations
 
@@ -295,6 +299,50 @@ def mixture_cdf(mixture: np.ndarray) -> np.ndarray:
     return cdf
 
 
+# exclusive upper bounds of a month and of a (synthetic, 28-day) day
+MONTH_DAY_HIGH = np.array([13, 29])
+
+
+def month_day_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Months (row 0) and days (row 1) of ``n`` rounds in one bounded draw.
+
+    numpy draws each element of an array-bounded ``integers`` on its own
+    (Lemire's method on the generator's 32-bit stream), so this gives the
+    values, dtype and stream position of ``rng.integers(1, 13, size=n)``
+    followed by ``rng.integers(1, 29, size=n)``, in one call instead of two.
+    """
+    return rng.integers(1, np.repeat(MONTH_DAY_HIGH, n)).reshape(2, n)
+
+
+# the text of each hundredths count as repr ends a float: "0" for 0, "5" for 50, "05" for 5
+HUNDREDTHS = np.array([f"{h // 10}" if h % 10 == 0 else f"{h:02d}" for h in range(100)],
+                      dtype=object)
+
+
+def cents_text(values: np.ndarray) -> list[str]:
+    """``repr(round(x, 2))`` of each float in ``values``, formatted from integer cents.
+
+    ``round(x, 2)`` rounds the exact binary value of ``x`` to hundredths,
+    half to even, and parses that decimal back; a decimal of at most 15
+    significant digits round-trips, so ``repr`` prints it with trailing
+    zeros stripped. ``rint(x * 100)`` is that count of hundredths wherever
+    the product's rounding error, at most half a spacing, cannot cross a
+    half-integer: for ``+0.0`` and positive ``x`` whose ``x * 100`` is below
+    1e15 and more than two spacings from the nearest half-integer. Every
+    other value (negative, ``-0.0``, non-finite, too large or a near-tie)
+    goes through ``repr(round(x, 2))``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cents = values * 100
+        exact = (~np.signbit(values) & (cents < 1e15)
+                 & (np.abs(cents - np.floor(cents) - 0.5) > 2 * np.spacing(cents)))
+    whole, hundredths = np.divmod(np.rint(np.where(exact, cents, 0.0)).astype(np.int64), 100)
+    text = [f"{w}.{h}" for w, h in zip(whole.tolist(), HUNDREDTHS[hundredths].tolist())]
+    for i in np.flatnonzero(~exact).tolist():
+        text[i] = repr(round(float(values[i]), 2))
+    return text
+
+
 @dataclass(frozen=True)
 class EcosystemFiles:
     startups: Path
@@ -317,10 +365,12 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     ``StageClass`` order as ``poisson`` (rounds that year), ``multinomial``
     (split over stages), then for each stage with rounds ``random``
     (sectors, searched in the mixture's CDF: the draw ``choice`` makes),
-    ``integers`` (months), ``integers`` (days) and ``lognormal`` (amounts),
-    each sized to that stage's rounds. Rounds are numbered in the same
-    order. The tables are formatted from the concatenated draws after the
-    loop, so only these calls decide the bytes.
+    one ``integers`` bounded by ``[13] * n + [29] * n`` (months, then days:
+    the draws of an ``integers(1, 13)`` and an ``integers(1, 29)`` call)
+    and ``lognormal`` (amounts), each sized to that stage's ``n`` rounds.
+    Rounds are numbered in the same order. The tables are formatted from
+    the concatenated draws after the loop, so only these calls decide the
+    bytes.
     """
     config.validate()
     out_dir = Path(out_dir)
@@ -336,7 +386,7 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     # (investor number, year's position in config.years, stage number, rounds),
     # and the cell's draws
     cells: list[tuple[int, int, int, int]] = []
-    drawn, months, days, amounts = [], [], [], []
+    drawn, dates, amounts = [], [], []
 
     for arch in config.archetypes:
         stage_probs = np.array([arch.stage_weights.get(s, 0.0) for s in stage_order])
@@ -363,13 +413,12 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
                         cdf = cdfs[stage_no, year_no] = mixture_cdf(
                             mixture_for(config, arch, stage_order[stage_no], year))
                     drawn.append(cdf.searchsorted(rng.random(n_stage), side="right"))
-                    months.append(rng.integers(1, 13, size=n_stage))
-                    days.append(rng.integers(1, 29, size=n_stage))
+                    dates.append(month_day_draws(rng, n_stage))
                     amounts.append(rng.lognormal(0.0, 0.4, size=n_stage))
                     cells.append((investor_no, year_no, stage_no, n_stage))
 
-    def joined(parts):
-        return np.concatenate(parts or [np.zeros(0, dtype=np.int64)])
+    def joined(parts, empty=(0,)):
+        return np.concatenate(parts or [np.zeros(empty, dtype=np.int64)], axis=-1)
 
     def taken(values, index):
         return np.array(values, dtype=object)[index].tolist()
@@ -378,6 +427,7 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
     investor_nos, year_nos, stage_nos = np.repeat(
         cell_table[:, :3], cell_table[:, 3], axis=0).T
     n = len(year_nos)
+    months, days = joined(dates, (2, 0))
     stage_base = np.array([STAGE_AMOUNT_BASE[stage] for stage in stage_order])
     founded = [dt.date(y, 1, 2).isoformat() for y in config.years]
     announced = [dt.date(y, m, d).isoformat()
@@ -389,9 +439,9 @@ def generate_ecosystem(config: ScenarioConfig, out_dir
         repeat("active"), taken(founded, year_nos), taken(sectors, joined(drawn)))
     round_rows = zip(
         map("rnd_".__add__, digits), startup_ids,
-        taken(announced, (year_nos * 12 + joined(months) - 1) * 28 + joined(days) - 1),
+        taken(announced, (year_nos * 12 + months - 1) * 28 + days - 1),
         taken([STAGE_LABELS[stage] for stage in stage_order], stage_nos),
-        map(repr, map(round, (stage_base[stage_nos] * joined(amounts)).tolist(), repeat(2))),
+        cents_text(stage_base[stage_nos] * joined(amounts)),
         taken([row[0] for row in investor_rows], investor_nos))
 
     ontology = SectorOntology(parent_tags=sectors, version=f"synth-{config.name}")

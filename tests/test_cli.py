@@ -469,6 +469,18 @@ class TestSynthCommand:
             cli.build_parser().parse_args(["synth", "--scenario", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["synth", "tca"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = ["--scenario", "baseline"] if command == "synth" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *argv, "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"sectorspace {command}: error: argument --seed: '-1' must be greater than -1"]
+        assert not out.exists()
+
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         for sub in ("a", "b"):
             assert cli.main(["synth", "--scenario", "baseline", "--seed", "5",

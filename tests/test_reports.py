@@ -282,6 +282,8 @@ class TestWriters:
         assert got[0] == ["R", "restart", "error", "sweeps", "converged", "similarity"]
         assert got[1] == ["1", "0", "0.5", "3", "True", "0.9"]
         assert got[4] == ["2", "1", "0.25", "500", "False", "0.8"]
+        # the flags arrive as bools, which csv writes with str
+        assert [row[4] for row in got[1:]] == ["True", "True", "True", "False"]
 
     def test_top_investors_sorted_by_component(self, tmp_path):
         tables = {

@@ -4,11 +4,12 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import json
+import math
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sectorspace.errors import AnalysisError
@@ -30,11 +31,13 @@ from sectorspace.synth import (
     PlantedTruth,
     ScenarioConfig,
     baseline_scenario,
+    cents_text,
     convergence_scenario,
     generate_cp_tensor,
     generate_ecosystem,
     mixture_cdf,
     mixture_for,
+    month_day_draws,
 )
 from sectorspace.tca import cp_als, factor_match_score, reconstruction_error
 
@@ -169,6 +172,50 @@ def test_cdf_draws_match_generator_choice(mixture, size, seed):
     assert drawn.dtype == chosen.dtype
     assert drawn.tolist() == chosen.tolist()
     assert ours.random() == theirs.random()
+
+
+@settings(deadline=None, max_examples=200)
+@given(size=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_month_day_draws_match_two_integers_calls(size, seed):
+    """One array-bounded draw is the months call followed by the days call:
+    same values, same dtype, same stream position afterwards."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    months, days = month_day_draws(ours, size)
+    want_months, want_days = theirs.integers(1, 13, size=size), theirs.integers(1, 29, size=size)
+    assert months.dtype == days.dtype == want_months.dtype == want_days.dtype
+    assert months.tolist() == want_months.tolist()
+    assert days.tolist() == want_days.tolist()
+    assert ours.random() == theirs.random()
+
+
+@st.composite
+def near_ties(draw):
+    """The double nearest a half-cent k/100 + 0.005, moved up to 3 ulps either way."""
+    x = (2 * draw(st.integers(0, 10**13)) + 1) / 200
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+amounts = st.one_of(
+    near_ties(),
+    st.sampled_from([0.0, -0.0, 0.125, 0.375, 2.675, 1e13, 1e15]),
+    st.floats(-SMALLEST_NORMAL, SMALLEST_NORMAL),  # subnormals
+    st.floats(1e12, 1e14),  # x * 100 on both sides of 1e15
+    st.floats(1e14, allow_infinity=True),
+    st.floats(1e4, 1e9),  # the lognormal amounts of the bundled scenarios
+    st.floats(),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(amounts, max_size=30))
+@example(values=[-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, -1.5])
+def test_cents_text_is_repr_of_round(values):
+    assert cents_text(np.array(values, dtype=np.float64)) == [
+        repr(round(x, 2)) for x in values]
 
 
 @settings(deadline=None, max_examples=100)
