@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import sectorspace as ss
-from sectorspace import metrics, synth, tca
+from sectorspace import metrics, pca, synth, tca
 from sectorspace.profiles import (ProfileOptions, SectorActivity, build_profiles,
                                   group_profiles, stage_partition)
 
@@ -50,11 +50,11 @@ def study_stage_offsets(seed: int, root: Path) -> None:
 
 def study_concentration(seed: int, root: Path) -> None:
     truth, _, _, profiles, _ = load("concentration", seed, root)
-    model = ss.fit_on_profiles(profiles, 2)
+    model = pca.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model)
     shares = {year: grid.max_cell_share(year) for year in sorted(grid.counts)}
     peak = max(shares, key=shares.get)
-    spread = ss.spread_series(profiles)
+    spread = metrics.spread_series(profiles)
     inflection = spread[int(np.argmin([entry[1] for entry in spread]))][0]
     print(f"  max-cell share peaks at {peak} ({shares[peak]:.3f}), "
           f"spread minimum at {inflection} "

@@ -185,8 +185,7 @@ def _run_pca(args: argparse.Namespace, dataset: ValidatedDataset,
     options = _options(args)
     profiles = build_profiles(activity, options=replace(options, stage_filter=None))
     model = pca.fit_on_profiles(profiles, args.pca_dim)
-    sectors = options.effective_sectors(dataset.ontology)
-    reports.write_pca_loadings(args.out / "pca_loadings.csv", model, sectors)
+    reports.write_pca_loadings(args.out / "pca_loadings.csv", model, profiles.sectors)
 
     trajectories = {"all": pca.barycenter_trajectory(profiles, model)}
     for stage, stage_profiles in stage_partition(activity, options=options).items():
@@ -196,7 +195,7 @@ def _run_pca(args: argparse.Namespace, dataset: ValidatedDataset,
 
     svgplot.save_svg(
         args.out / "pca_sectors.svg",
-        svgplot.scatter_chart(pca.sector_positions(model, sectors),
+        svgplot.scatter_chart(pca.sector_positions(model, profiles.sectors),
                               title="Sector loadings"),
     )
     for label, points in trajectories.items():
@@ -274,6 +273,9 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     investors = dataset.investor_by_id
     present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
+    if len(present) < 2:
+        raise SectorSpaceError("distances needs profiles of 2 investor types; present: "
+                               + (", ".join(present) or "none"))
     groups = {label: group_profiles(profiles, label, investors) for label in present}
     series_list = []
     for i, type_a in enumerate(present):
@@ -366,11 +368,6 @@ def cmd_all(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.scenario not in synth.SCENARIOS:
-        raise SectorSpaceError(
-            f"unknown scenario {args.scenario!r}; choose from "
-            + ", ".join(sorted(synth.SCENARIOS))
-        )
     config = synth.SCENARIOS[args.scenario](seed=args.seed)
     files, _ = synth.generate_ecosystem(config, args.out)
     print(f"synth: {args.scenario} (seed {args.seed}) -> {files.startups.parent}")

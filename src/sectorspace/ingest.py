@@ -45,21 +45,6 @@ from .errors import IntegrityError, SchemaError
 from .ontology import SectorOntology, default_ontology, dump_ontology, load_ontology
 from .reports import write_rows
 
-__all__ = [
-    "StartupStatus",
-    "StageClass",
-    "RawInvestor",
-    "Categorical",
-    "StartupTable",
-    "RoundTable",
-    "ValidatedDataset",
-    "classify_stage",
-    "load_dataset",
-    "dump_dataset",
-    "filter_startups",
-    "validate_dataset",
-]
-
 STARTUP_COLUMNS = ["startup_id", "name", "country_code", "status", "founded_date", "tags"]
 ROUND_COLUMNS = ["round_id", "startup_id", "announced_date", "stage_label", "amount_usd", "investor_ids"]
 INVESTOR_COLUMNS = ["investor_id", "name", "type_label"]
@@ -330,6 +315,9 @@ def _read_columns(path, columns: list[str], encoded=()) -> tuple[list, int | Non
             missing = [c for c in columns if c not in position]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
+            repeated = [c for c in columns if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"{path}: repeated columns {repeated}")
             plain = [(column.append, position[name])
                      for column, name in zip(cells, columns) if name not in cell_codes]
             coded = [(column.append, cell_codes[name], position[name])

@@ -497,14 +497,15 @@ def _block_mixture(n_sectors: int, block, mass: float = 1.0) -> np.ndarray:
     return m
 
 
-def baseline_scenario(seed: int = 0, n_investors: int = 30, rate: float = 20.0,
-                      n_sectors: int = 10, years: range = range(2006, 2016)
+def baseline_scenario(seed: int = 0, n_investors: int = 30, rate: float = 20.0
                       ) -> ScenarioConfig:
-    """One archetype, uniform mixture, no dynamics: the null ecosystem."""
+    """One archetype over 10 sectors and 2006-2015, uniform mixture, no
+    dynamics: the null ecosystem."""
+    n_sectors = 10
     uniform = np.full(n_sectors, 1.0 / n_sectors)
     return ScenarioConfig(
         name="baseline",
-        years=years,
+        years=range(2006, 2016),
         n_sectors=n_sectors,
         archetypes=(
             ArchetypeSpec("generalist", "vc", n_investors, uniform, rate),
@@ -513,8 +514,9 @@ def baseline_scenario(seed: int = 0, n_investors: int = 30, rate: float = 20.0,
     )
 
 
-def convergence_scenario(seed: int = 0, turn_year: int = 2012) -> ScenarioConfig:
-    """VCs drift toward the accelerator zone until ``turn_year``, then away."""
+def convergence_scenario(seed: int = 0) -> ScenarioConfig:
+    """VCs drift toward the accelerator zone until the turn year, 2012, then away."""
+    turn_year = 2012
     n_sectors = 12
     years = range(2004, 2018)
     m_acc = _block_mixture(n_sectors, range(8, 12), mass=0.9)
@@ -566,8 +568,9 @@ def stage_offsets_scenario(seed: int = 0) -> ScenarioConfig:
     )
 
 
-def concentration_scenario(seed: int = 0, peak_year: int = 2012) -> ScenarioConfig:
-    """Strategies sharpen toward the leading sectors up to ``peak_year``, then relax.
+def concentration_scenario(seed: int = 0) -> ScenarioConfig:
+    """Strategies sharpen toward the leading sectors from 2008 up to the peak
+    year, 2012, then relax.
 
     The base mixture decays geometrically across sectors, so raising it to
     the tightening exponent genuinely concentrates mass on the top sectors
@@ -584,13 +587,13 @@ def concentration_scenario(seed: int = 0, peak_year: int = 2012) -> ScenarioConf
         archetypes=(
             ArchetypeSpec("crowd", "vc", 100, base, 12.0),
         ),
-        concentration=ConcentrationSpec(start=peak_year - 4, peak=peak_year, factor=6.0),
+        concentration=ConcentrationSpec(start=2008, peak=2012, factor=6.0),
         seed=seed,
     )
 
 
-def emergence_scenario(seed: int = 0, activation_year: int = 2009) -> ScenarioConfig:
-    """An accelerator cohort switches on mid-range in its own sector block."""
+def emergence_scenario(seed: int = 0) -> ScenarioConfig:
+    """An accelerator cohort switches on in 2009, mid-range, in its own sector block."""
     n_sectors = 12
     years = range(2002, 2018)
     background = _block_mixture(n_sectors, range(0, 8), mass=0.96)
@@ -602,7 +605,7 @@ def emergence_scenario(seed: int = 0, activation_year: int = 2009) -> ScenarioCo
         archetypes=(
             ArchetypeSpec("oldguard", "vc", 50, background, 4.0),
             ArchetypeSpec("cohort", "accelerator", 12, cohort, 25.0,
-                          active_window=range(activation_year, years[-1] + 1)),
+                          active_window=range(2009, years[-1] + 1)),
         ),
         seed=seed,
     )

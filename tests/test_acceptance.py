@@ -35,6 +35,7 @@ import pytest
 import sectorspace as ss
 from sectorspace import cli, metrics, pca, synth, tca
 from sectorspace.errors import AnalysisError
+from sectorspace.ingest import StageClass
 from sectorspace.profiles import (
     ProfileOptions,
     SectorActivity,
@@ -44,7 +45,7 @@ from sectorspace.profiles import (
 )
 from conftest import make_profiles
 
-STAGES = list(ss.StageClass)
+STAGES = list(StageClass)
 
 
 def announce(capsys, label, ok, detail):
@@ -279,7 +280,7 @@ def _check_stage_ordering(seed, root):
 def _check_concentration(seed, root):
     config, truth, dataset = _load_scenario("concentration", seed, root)
     profiles, _ = _all_profiles(dataset, config.years)
-    model = ss.fit_on_profiles(profiles, 2)
+    model = pca.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model)
     years = sorted(grid.counts)
     shares = {year: grid.max_cell_share(year) for year in years}
@@ -288,7 +289,7 @@ def _check_concentration(seed, root):
     share_ok = (shares[peak] > shares[start - 1]
                 and shares[peak] > shares[years[-1]])
 
-    spread = ss.spread_series(profiles)
+    spread = metrics.spread_series(profiles)
     inflection = spread[int(np.argmin([entry[1] for entry in spread]))][0]
     spread_ok = abs(inflection - peak) <= 1
     return share_ok, spread_ok

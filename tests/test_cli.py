@@ -321,6 +321,31 @@ class TestSpread:
         assert not out.exists()
 
 
+class TestDistances:
+    def test_one_investor_type_is_named(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth.generate_ecosystem(synth.baseline_scenario(seed=0, n_investors=4, rate=4.0), data)
+        code = cli.main(["distances", *table_flags(data), "--years", "2006:2015",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: distances needs profiles of 2 investor types; present: vc\n")
+
+    def test_types_without_a_shared_year(self, tmp_path, capsys):
+        mixture = np.full(4, 0.25)
+        config = synth.ScenarioConfig(
+            name="apart", years=range(2008, 2012), n_sectors=4, seed=0, archetypes=(
+                synth.ArchetypeSpec("fund", "vc", 3, mixture, 6.0,
+                                    active_window=range(2008, 2010)),
+                synth.ArchetypeSpec("program", "accelerator", 3, mixture, 6.0,
+                                    active_window=range(2010, 2012))))
+        synth.generate_ecosystem(config, tmp_path / "data")
+        code = cli.main(["distances", *table_flags(tmp_path / "data"), "--years", "2008:2011",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no type pair shares an active year\n"
+
+
 EXPECTED_ALL = [
     "distances.csv", "distances.svg",
     "manifest_all.json",

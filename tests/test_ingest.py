@@ -125,6 +125,33 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="missing columns"):
             load_dataset(bad, good[1], good[2])
 
+    @staticmethod
+    def _append_column(path, column, cell):
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{header},{column}\n" + "".join(f"{line},{cell}\n" for line in lines),
+                        encoding="utf-8")
+
+    @pytest.mark.parametrize("table, column, cell", [
+        (0, "status", "closed"), (1, "amount_usd", "1"), (2, "type_label", "angel")])
+    def test_repeated_column_is_refused(self, tmp_path, table, column, cell):
+        """A second copy of a column the loader reads would otherwise win silently."""
+        paths = write_tables(tmp_path, GOOD_STARTUPS, GOOD_ROUNDS, GOOD_INVESTORS)[:3]
+        self._append_column(paths[table], column, cell)
+        with pytest.raises(SchemaError, match=rf"{paths[table].name}: repeated columns "
+                                              rf"\['{column}'\]"):
+            load_dataset(*paths)
+
+    def test_repeated_unread_column_loads(self, tmp_path):
+        paths = write_tables(tmp_path, GOOD_STARTUPS, GOOD_ROUNDS, GOOD_INVESTORS)[:3]
+        expected = load_dataset(*paths)
+        for path in paths:
+            self._append_column(path, "notes", "x")
+            self._append_column(path, "notes", "y")
+        loaded = load_dataset(*paths)
+        assert rows(loaded.startups) == rows(expected.startups)
+        assert rows(loaded.rounds) == rows(expected.rounds)
+        assert list(loaded.investors) == list(expected.investors)
+
     def test_unparsable_date_reports_row(self, tmp_path):
         startups = GOOD_STARTUPS.replace("2005-01-10", "Jan 2005")
         with pytest.raises(SchemaError, match=":2"):

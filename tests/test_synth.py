@@ -138,7 +138,8 @@ ORACLE_CONFIGS = {
     **{f"{name}-{seed}": partial(factory, seed=seed)
        for name, factory in SCENARIOS.items() for seed in range(3)},
     "convergence-x3": partial(_scaled_convergence, 3),
-    "every-other-year": partial(baseline_scenario, seed=0, years=range(2006, 2016, 2)),
+    "every-other-year": lambda: dataclasses.replace(baseline_scenario(seed=0),
+                                                    years=range(2006, 2016, 2)),
     "no-rounds": partial(baseline_scenario, seed=0, n_investors=2, rate=1e-9),
 }
 
