@@ -117,8 +117,9 @@ def _load(args: argparse.Namespace, stages=()
 
     The filtered one is checked against the flags of the ``stages`` to run:
     every stage but ``profiles`` needs a kept round inside ``--years``,
-    ``pca`` at least ``--pca-dim`` kept sectors, ``spread`` two, and ``tca``
-    kept rounds of ``--stage`` in two of those years.
+    ``pca`` at least ``--pca-dim`` kept sectors, ``spread`` two, ``tca``
+    kept rounds of ``--stage`` in two of those years, and ``distances``
+    investors of two types in the kept rounds inside ``--years``.
     ``--strict-tags`` makes unknown tags an error.
     """
     raw = load_dataset(args.startups, args.rounds, args.investors, args.ontology)
@@ -146,7 +147,22 @@ def _load(args: argparse.Namespace, stages=()
             raise SectorSpaceError(f"tca needs kept rounds in 2 years of --years "
                                    f"{args.years[0]}:{args.years[-1]} for its temporal "
                                    f"factors; {n_years} kept")
+    if "distances" in stages:
+        # every type a profile can have; the stage checks the types that have one
+        members = dataset.rounds.investors
+        in_window = dataset.rounds.announced.rows_where(lambda day: day.year in args.years)
+        investors = dataset.investor_by_id
+        _need_two_types({investors[iid].type_label
+                         for code in set(members.codes[in_window].tolist())
+                         for iid in members.values[code]})
     return raw, dataset
+
+
+def _need_two_types(present) -> None:
+    """Refuse ``distances`` when fewer than 2 investor types are ``present``."""
+    if len(present) < 2:
+        raise SectorSpaceError("distances needs profiles of 2 investor types; present: "
+                               + (", ".join(sorted(present)) or "none"))
 
 
 def _options(args: argparse.Namespace) -> ProfileOptions:
@@ -273,9 +289,7 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     investors = dataset.investor_by_id
     present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
-    if len(present) < 2:
-        raise SectorSpaceError("distances needs profiles of 2 investor types; present: "
-                               + (", ".join(present) or "none"))
+    _need_two_types(present)
     groups = {label: group_profiles(profiles, label, investors) for label in present}
     series_list = []
     for i, type_a in enumerate(present):

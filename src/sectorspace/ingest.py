@@ -10,19 +10,23 @@ row, RFC-4180 quoting):
 * ``investors.csv`` -- investor_id,name,type_label
 
 The startup and round tables are held as columns. Each CSV is read once,
-row by row. Ids, names, startup keys and amounts, which are mostly
-distinct, are kept as one list of cells per column. Every other column is
-encoded as it is read: each row keeps only the code of its cell, and each
-distinct cell is kept once, so a :class:`Categorical` of raw cells comes
-out of the reader. Each distinct cell is then converted once
-(:meth:`Categorical.convert`): statuses, dates, tag sets, stage labels
-and the investors of each round (id tuples, like the startups' tags)
-stay :class:`Categorical` columns of converted values. Amounts become a
-float array (NaN = unknown) and the startup of each round a row index
-into the startup table. No row object is built: filtering, accumulation
-and :func:`dump_dataset` read the columns of :class:`StartupTable` and
-:class:`RoundTable`. The investor table stays a tuple of
-:class:`RawInvestor` records.
+row by row. Ids and names, which are mostly distinct, are kept as one
+list of cells per column. A round's startup key and amount, also mostly
+distinct, are converted as the row is read, so their text is not kept:
+the key becomes the row of the startup with that exact id, the amount a
+float (NaN = unknown). A cell that does not convert keeps its text: after
+the read, a key is looked up again stripped and, if still unknown,
+reported as dangling, and an amount is reported as unparsable. Every
+other column is encoded as it is read: each row keeps only the code of
+its cell, and each distinct cell is kept once, so a :class:`Categorical`
+of raw cells comes out of the reader. Each distinct cell is then
+converted once (:meth:`Categorical.convert`): statuses, dates, tag sets,
+stage labels and the investors of each round (id tuples, like the
+startups' tags) stay :class:`Categorical` columns of converted values.
+Dates are ``YYYY-MM-DD`` on every Python version. No row object is built:
+filtering, accumulation and :func:`dump_dataset` read the columns of
+:class:`StartupTable` and :class:`RoundTable`. The investor table stays a
+tuple of :class:`RawInvestor` records.
 
 The loaded dataset is immutable by convention and safe to share across
 concurrent readers.
@@ -36,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -243,23 +247,35 @@ def _parse_status(text: str) -> StartupStatus | None:
         return None
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _parse_date(text: str) -> dt.date | None:
+    """A ``YYYY-MM-DD`` date; the other ISO 8601 forms that
+    :meth:`datetime.date.fromisoformat` takes from Python 3.11 on are rejected."""
+    text = text.strip()
+    if not _ISO_DATE.fullmatch(text):
+        return None
     try:
-        return dt.date.fromisoformat(text.strip())
+        return dt.date.fromisoformat(text)
     except ValueError:
         return None
 
 
-def _parse_amount(text: str) -> float | None:
-    """Amount in USD, NaN for an empty cell (unknown); non-finite values are rejected."""
-    text = text.strip()
-    if not text:
-        return math.nan
+def _parse_amount(text: str) -> float | str:
+    """Amount in USD, NaN for an empty cell (unknown). A cell that is not a
+    finite number comes back as it is, to be reported."""
     try:
         value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+    except ValueError:  # float() keeps some of what str.strip() strips, such as '\x1c'
+        stripped = text.strip()
+        if not stripped:
+            return math.nan
+        try:
+            value = float(stripped)
+        except ValueError:
+            return text
+    return value if math.isfinite(value) else text
 
 
 def _split_list(text: str) -> tuple[str, ...]:
@@ -290,10 +306,15 @@ def _find(items: list, item) -> int | None:
     return items.index(item) if item in items else None
 
 
-def _read_columns(path, columns: list[str], encoded=()) -> tuple[list, int | None]:
+def _read_columns(path, columns: list[str], encoded=(),
+                  converters=None) -> tuple[list, int | None]:
     """Read the cells of ``columns``: one list per column, except that a
     column named in ``encoded`` comes as a :class:`Categorical` of its raw
-    cells, each row's cell replaced by its code as the row is read.
+    cells, each row's cell replaced by its code as the row is read, and a
+    column with a function in ``converters`` holds that function of each
+    cell, applied as the row is read, so its text is never kept. A
+    converter returns a cell it cannot convert as it is, for the caller to
+    retry or report.
 
     Blank lines are skipped and not numbered, so data row ``i`` (from 0) is
     row ``i + 2`` of the file. Reading stops at the first row too short to
@@ -302,6 +323,7 @@ def _read_columns(path, columns: list[str], encoded=()) -> tuple[list, int | Non
     or without a byte order mark.
     """
     path = Path(path)
+    converters = converters or {}
     cells = [[] for _ in columns]
     cell_codes = {name: {} for name in encoded}
     short_row = None
@@ -318,8 +340,10 @@ def _read_columns(path, columns: list[str], encoded=()) -> tuple[list, int | Non
             repeated = [c for c in columns if header.count(c) > 1]
             if repeated:
                 raise SchemaError(f"{path}: repeated columns {repeated}")
-            plain = [(column.append, position[name])
-                     for column, name in zip(cells, columns) if name not in cell_codes]
+            plain = [(column.append, position[name]) for column, name in zip(cells, columns)
+                     if name not in cell_codes and name not in converters]
+            converted = [(column.append, converters[name], position[name])
+                         for column, name in zip(cells, columns) if name in converters]
             coded = [(column.append, cell_codes[name], position[name])
                      for column, name in zip(cells, columns) if name in cell_codes]
             width = max(position[name] for name in columns) + 1
@@ -331,6 +355,8 @@ def _read_columns(path, columns: list[str], encoded=()) -> tuple[list, int | Non
                     break
                 for append, i in plain:
                     append(row[i])
+                for append, convert, i in converted:
+                    append(convert(row[i]))
                 for append, code_of, i in coded:
                     cell = row[i]
                     code = code_of.get(cell)
@@ -403,12 +429,18 @@ def _load_investors(path) -> tuple[RawInvestor, ...]:
 
 def _load_rounds(path, startups: StartupTable, startup_row: dict[str, int],
                  investors: tuple[RawInvestor, ...]) -> RoundTable:
-    (ids, sids, announced, stages, amounts, member_cells), short_row = _read_columns(
-        path, ROUND_COLUMNS, ("announced_date", "stage_label", "investor_ids"))
+    # a startup key is its startup's row, or its own text if it is no exact id
+    (ids, keys, announced, stages, amounts, member_cells), short_row = _read_columns(
+        path, ROUND_COLUMNS, ("announced_date", "stage_label", "investor_ids"),
+        {"startup_id": lambda cell: startup_row.get(cell, cell), "amount_usd": _parse_amount})
     ids = list(map(str.strip, ids))
     announced_on = announced.convert(_parse_date)
-    parsed = list(map(_parse_amount, amounts))  # amounts are mostly distinct
-    amount = np.array(parsed, dtype=float)
+    amount = np.array(amounts)
+    unparsed = None
+    if amount.dtype.kind != "f":  # some cell kept its text
+        is_text = [isinstance(value, str) for value in amounts]
+        unparsed = is_text.index(True)
+        amount = np.array([math.nan if t else value for t, value in zip(is_text, amounts)])
     members = member_cells.convert(_split_list)
     _check(
         path, short_row,
@@ -416,20 +448,23 @@ def _load_rounds(path, startups: StartupTable, startup_row: dict[str, int],
         (_first_repeat(ids), lambda i: f"duplicate round_id {ids[i]!r}"),
         (_first(announced_on.rows_where(lambda v: v is None)),
          lambda i: f"unparsable date {announced[i]!r}"),
-        (_find(parsed, None), lambda i: f"unparsable amount {amounts[i].strip()!r}"),
-        (_first(amount < 0), lambda i: f"negative amount {parsed[i]}"),
+        (unparsed, lambda i: f"unparsable amount {amounts[i].strip()!r}"),
+        (_first(amount < 0), lambda i: f"negative amount {amounts[i]}"),
         (_first(members.rows_where(lambda v: _repeated(v) is not None)),
          lambda i: f"investor {_repeated(members[i])!r} listed twice"),
     )
 
-    startup = np.fromiter(map(startup_row.get, map(str.strip, sids), repeat(-1)), np.intp,
-                          len(ids))
+    # np.array keeps a key's text as text, where np.fromiter would read '12' as row 12
+    startup = np.array(keys)
+    if startup.dtype.kind != "i":  # each miss is looked up again stripped
+        startup = np.array([startup_row.get(key.strip(), -1) if isinstance(key, str) else key
+                            for key in keys], dtype=np.intp)
     known = {inv.investor_id for inv in investors}
     lost_members = members.rows_where(lambda v: not known.issuperset(v))
     dangling = []
     for row in np.flatnonzero((startup < 0) | lost_members).tolist():
         if startup[row] < 0:
-            dangling.append(f"round {ids[row]!r} -> startup {sids[row].strip()!r}")
+            dangling.append(f"round {ids[row]!r} -> startup {keys[row].strip()!r}")
         dangling.extend(f"round {ids[row]!r} -> investor {iid!r}"
                         for iid in members[row] if iid not in known)
     if dangling:

@@ -142,10 +142,13 @@ class SectorActivity:
         distinct stage label is classified once. Every (round, investor)
         participation books ``1 / k`` round weight and ``amount / k`` amount
         weight in each of the k parent tags of its startup (the arithmetic
-        of :func:`split_round`). ``np.bincount`` adds the entries in round
-        order, so every cell holds the sum a round-by-round loop produces,
-        bit for bit. Rounds whose startup has no classified parent are
-        excluded with one log record.
+        of :func:`split_round`), both computed once per round. One
+        ``np.bincount`` books slot 0 and a second, added into the same
+        array, the staged slots; a cell gets entries from only one of them,
+        each adds its entries in round order, so every cell holds the sum a
+        round-by-round loop produces, bit for bit. Each scratch array is
+        dropped once used. Rounds whose startup has no classified parent
+        are excluded with one log record.
         """
         ontology = dataset.ontology
         rounds, tags, members = dataset.rounds, dataset.startups.tags, dataset.rounds.investors
@@ -169,6 +172,11 @@ class SectorActivity:
             logger.warning("%d round(s) have no classified sectors and are excluded: %s",
                            sinks.size, ", ".join(rounds.ids[i] for i in sinks[:10].tolist()))
 
+        # the weights each share of a round books; a round with k = 0 has no shares
+        round_share = 1.0 / np.maximum(k, 1)
+        amount_share = amount / np.maximum(k, 1)
+        del amount
+
         # one entry per (participation, parent tag), in round order
         member_start, n_members, member_flat = _flatten(members.values, position.__getitem__)
         row_members = n_members[members.codes]
@@ -183,14 +191,18 @@ class SectorActivity:
         shape = (len(investor_ids), years.size, N_SLOTS, n_sectors)
         cell = ((part_investor[share_part] * years.size + year_row[share_round])
                 * N_SLOTS * n_sectors + sector)
+        del member_flat, row_members, part_round, part_investor, part_k, share_part, sector
+        size = int(np.prod(shape))
+        round_w = np.bincount(cell, weights=round_share[share_round], minlength=size)
+        amount_w = np.bincount(cell, weights=amount_share[share_round], minlength=size)
+        # a staged slot's cell gets entries from this second count alone
         share_slot = slot[share_round]
         staged = share_slot > 0
-        cell = np.concatenate((cell, cell[staged] + share_slot[staged] * n_sectors))
-        share_round = np.concatenate((share_round, share_round[staged]))
-        size = int(np.prod(shape))
-        round_w = np.bincount(cell, weights=1.0 / k[share_round], minlength=size)
-        amount_w = np.bincount(cell, weights=amount[share_round] / k[share_round],
-                               minlength=size)
+        cell = cell[staged] + share_slot[staged] * n_sectors
+        share_round = share_round[staged]
+        del share_slot, staged
+        round_w += np.bincount(cell, weights=round_share[share_round], minlength=size)
+        amount_w += np.bincount(cell, weights=amount_share[share_round], minlength=size)
         return cls(ontology, investor_ids, years, round_w.reshape(shape),
                    amount_w.reshape(shape))
 

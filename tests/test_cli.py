@@ -323,13 +323,21 @@ class TestSpread:
 
 class TestDistances:
     def test_one_investor_type_is_named(self, tmp_path, capsys):
+        self.check_one_type_refused(tmp_path, capsys, "distances")
+
+    def test_all_refuses_one_type_before_writing(self, tmp_path, capsys):
+        self.check_one_type_refused(tmp_path, capsys, "all")
+
+    @staticmethod
+    def check_one_type_refused(tmp_path, capsys, command):
         data = tmp_path / "data"
         synth.generate_ecosystem(synth.baseline_scenario(seed=0, n_investors=4, rate=4.0), data)
-        code = cli.main(["distances", *table_flags(data), "--years", "2006:2015",
-                         "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = cli.main([command, *table_flags(data), "--years", "2006:2015", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
             "error: distances needs profiles of 2 investor types; present: vc\n")
+        assert not out.exists()
 
     def test_types_without_a_shared_year(self, tmp_path, capsys):
         mixture = np.full(4, 0.25)

@@ -157,12 +157,33 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=":2"):
             load_dataset(*write_tables(tmp_path, startups, GOOD_ROUNDS, GOOD_INVESTORS)[:3])
 
+    @pytest.mark.parametrize("cell", ["20050110", "2005-W02-1", " 2005W021 "])
+    def test_only_dashed_calendar_dates_parse(self, tmp_path, cell):
+        """``date.fromisoformat`` reads these from Python 3.11 on; the loader never does."""
+        startups = GOOD_STARTUPS.replace("2005-01-10", cell)
+        rounds = GOOD_ROUNDS.replace("2011-06-01", cell)
+        for tables, where in (((startups, GOOD_ROUNDS), "startups.csv:2"),
+                              ((GOOD_STARTUPS, rounds), "rounds.csv:3")):
+            paths = write_tables(tmp_path, *tables, GOOD_INVESTORS)[:3]
+            with pytest.raises(SchemaError) as caught:
+                load_dataset(*paths)
+            assert str(caught.value) == f"{tmp_path / where}: unparsable date {cell!r}"
+
     def test_bad_amount(self, tmp_path):
         for amount in ("lots", "-5"):
             rounds = GOOD_ROUNDS.replace("500000", amount)
             with pytest.raises(SchemaError):
                 load_dataset(*write_tables(
                     tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3])
+
+    @pytest.mark.parametrize("cell, amount", [
+        (" 1.5e6 ", 1.5e6), ("1e3", 1000.0), ("1_000", 1000.0), ("-0", -0.0),
+        ("\x1c7\x1f", 7.0), ("\u3000 2.5\x85", 2.5), ("", None), (" \x1c ", None)])
+    def test_amount_cells(self, tmp_path, cell, amount):
+        """Padding is whatever ``str.strip`` strips; blank is unknown."""
+        rounds = GOOD_ROUNDS.replace(",500000,", f",{cell},")
+        loaded = load_dataset(*write_tables(tmp_path, GOOD_STARTUPS, rounds, GOOD_INVESTORS)[:3])
+        assert rows(loaded.rounds)[0].amount_usd == amount
 
     @pytest.mark.parametrize("amount", ["nan", "inf", "-inf", " NaN ", "1e400"])
     def test_non_finite_amount(self, tmp_path, amount):
@@ -419,8 +440,13 @@ def _reference_rows(path, columns):
 
 
 def _reference_date(text, where):
+    """Only ``YYYY-MM-DD`` (ASCII digits), after a strip, on every Python version."""
+    parts = text.strip().split("-")
     try:
-        return dt.date.fromisoformat(text.strip())
+        if [len(part) for part in parts] != [4, 2, 2] or not all(
+                part.isascii() and part.isdigit() for part in parts):
+            raise ValueError
+        return dt.date(*map(int, parts))
     except ValueError:
         raise SchemaError(f"{where}: unparsable date {text!r}") from None
 
@@ -521,13 +547,15 @@ STARTUP_CELLS = [
     ["One", "Four, Inc.", 'Say "hi"', ""],
     ["USA", " USA", "DEU"],
     ["active", "closed", " IPO ", "acquired", "zombie"],
-    ["2005-01-10", "2010-03-04", " 2001-02-03 ", "Jan 2005", "2010-02-30"],
+    ["2005-01-10", "2010-03-04", " 2001-02-03 ", "Jan 2005", "2010-02-30", "20050110",
+     "2005-W02-1"],
     ["Software", "Health Care|Software", " Software | Hardware ", "", "mystery|"],
 ]
 ROUND_CELLS = [
-    ["2010-05-01", "2011-06-01 ", "2012-07-01", "soon", "2012-7-1"],
+    ["2010-05-01", "2011-06-01 ", "2012-07-01", "soon", "2012-7-1", "20120701", "2012-W26-7"],
     ["seed", " Series A ", "series c", "pre-seed"],
-    ["500000", "", " 1.5e6 ", "2500000.5", "0", "lots", "-5", "nan", "inf"],
+    ["500000", "", " 1.5e6 ", "2500000.5", "0", "1e3", "1_000", "\x1c 7\t", "  ", "lots",
+     "-5", " -0.5 ", "nan", " inf ", "-inf", "1e400", "1,000", "\x1c"],
 ]
 INVESTOR_CELLS = [
     ["Fund A", "Prog, B"],
@@ -580,7 +608,8 @@ def test_loader_matches_row_by_row_reference(tmp_path_factory, data):
     startup_keys = [f"s{i}" for i in range(n_startups)] or ["ghost"]
     investor_keys = [f"i{i}" for i in range(n_investors)]
     if faulty:
-        startup_keys = [*startup_keys, "ghost", " s0 "]
+        # '0' and '12' are no startup's id, but look like row numbers
+        startup_keys = [*startup_keys, "ghost", " s0 ", "s0\t", "0", "12"]
         investor_keys = [*investor_keys, "nobody"]
     rounds = []
     for row in _draw_rows(data, "r", data.draw(st.integers(0, 6)), ROUND_CELLS, faulty):
