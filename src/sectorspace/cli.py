@@ -15,6 +15,8 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import metrics, pca, reports, svgplot, synth, tca
 from .errors import SectorSpaceError
 from .ingest import (
@@ -118,9 +120,8 @@ def _load(args: argparse.Namespace, stages=()
     The filtered one is checked against the flags of the ``stages`` to run:
     every stage but ``profiles`` needs a kept round inside ``--years``,
     ``pca`` at least ``--pca-dim`` kept sectors, ``spread`` two, ``tca``
-    kept rounds of ``--stage`` in two of those years, and ``distances``
-    investors of two types in the kept rounds inside ``--years``.
-    ``--strict-tags`` makes unknown tags an error.
+    kept rounds of ``--stage`` in two of those years. ``--strict-tags``
+    makes unknown tags an error.
     """
     raw = load_dataset(args.startups, args.rounds, args.investors, args.ontology)
     dataset = filter_startups(raw, country=args.country)
@@ -147,19 +148,21 @@ def _load(args: argparse.Namespace, stages=()
             raise SectorSpaceError(f"tca needs kept rounds in 2 years of --years "
                                    f"{args.years[0]}:{args.years[-1]} for its temporal "
                                    f"factors; {n_years} kept")
-    if "distances" in stages:
-        # every type a profile can have; the stage checks the types that have one
-        members = dataset.rounds.investors
-        in_window = dataset.rounds.announced.rows_where(lambda day: day.year in args.years)
-        investors = dataset.investor_by_id
-        _need_two_types({investors[iid].type_label
-                         for code in set(members.codes[in_window].tolist())
-                         for iid in members.values[code]})
     return raw, dataset
 
 
-def _need_two_types(present) -> None:
-    """Refuse ``distances`` when fewer than 2 investor types are ``present``."""
+def _need_two_types(args: argparse.Namespace, dataset: ValidatedDataset,
+                    activity: SectorActivity) -> None:
+    """Refuse ``distances`` unless the investors it profiles, those with a round
+    weight in a kept sector inside ``--years`` (any stage), have 2 types."""
+    options = _options(args)
+    in_window = np.isin(activity.years, options.years)
+    columns = [activity.ontology.index(tag)
+               for tag in options.effective_sectors(activity.ontology)]
+    profiled = (activity.rounds[:, in_window, 0][..., columns] > 0).any(axis=(1, 2))
+    investors = dataset.investor_by_id
+    present = {investors[activity.investor_ids[i]].type_label
+               for i in np.flatnonzero(profiled).tolist()}
     if len(present) < 2:
         raise SectorSpaceError("distances needs profiles of 2 investor types; present: "
                                + (", ".join(sorted(present)) or "none"))
@@ -288,8 +291,8 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
                    activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     investors = dataset.investor_by_id
+    # cmd_all has checked that these are at least 2
     present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
-    _need_two_types(present)
     groups = {label: group_profiles(profiles, label, investors) for label in present}
     series_list = []
     for i, type_a in enumerate(present):
@@ -368,8 +371,10 @@ def cmd_all(args) -> int:
     command = args.command
     names = list(_STAGES) if command == "all" else [command]
     dataset = _load(args, names)[1]
-    args.out.mkdir(parents=True, exist_ok=True)
     activity = SectorActivity.from_dataset(dataset)
+    if "distances" in names:
+        _need_two_types(args, dataset, activity)
+    args.out.mkdir(parents=True, exist_ok=True)
     results = {name: _STAGES[name](args, dataset, activity) for name in names}
     if command != "all":
         results = results[command]

@@ -19,6 +19,10 @@ ended, and keeps it only if its error is strictly below the sweep's; ``p``
 starts at 2 and grows by 1 after 4 rejections in a row. The error history
 keeps one entry per ALS sweep and never rises, and sweep counts count ALS
 sweeps only.
+
+Each sweep takes its three Gram inverses from the gufunc behind
+``np.linalg.inv`` and runs under one ``np.errstate``; only a failed LU,
+which the gufunc reports as a NaN inverse, goes through the checked solve.
 """
 from __future__ import annotations
 
@@ -27,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# the gufunc np.linalg.inv wraps: a failed LU gives a NaN inverse, not an error
+from numpy.linalg._umath_linalg import inv as _lu_inverse
 # numpy loads np.random on first use; load it here, with the package, so the
 # import never starts mid-run, where a signal handler that uses np.random
 # would re-enter it
@@ -148,6 +154,15 @@ def _solve_factor(m: np.ndarray, gram: np.ndarray, warned: list[bool]) -> np.nda
         raise AnalysisError("ALS subproblem stays singular after the ridge") from None
 
 
+def _sweep_solve(m: np.ndarray, gram: np.ndarray, warned: list[bool]) -> np.ndarray:
+    """``_solve_factor`` for a caller that ignores floating-point errors: the Gram's
+    LAPACK inverse, or, when LU fails and fills it with NaN, ``_solve_factor``."""
+    inverse = _lu_inverse(gram, signature="d->d")
+    if inverse[0, 0] != inverse[0, 0]:
+        return _solve_factor(m, gram, warned)
+    return m @ inverse
+
+
 def canonicalize(a: np.ndarray, b: np.ndarray, c: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factors and weights of a CP model in the stored canonical form (see module doc)."""
@@ -176,11 +191,13 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     fixed seed reproduces the model bit for bit. Iteration stops when the
     relative change of the squared reconstruction error drops below ``tol``
     (the model is then ``converged``) or after ``max_iter`` sweeps. Each
-    factor update multiplies its MTTKRP by the inverse of its R x R Gram; a
-    Gram that LU finds singular gets a ridge of ``1e-10`` (with one warning
-    per fit). The sector and temporal MTTKRPs share one contraction of the
-    tensor with the new investor factor (a dimension tree; Phan, Tichavsky
-    & Cichocki 2013). A tensor holding non-finite values aborts before the
+    factor update multiplies its MTTKRP by the inverse of its R x R Gram,
+    from the LAPACK gufunc that ``np.linalg.inv`` wraps, with the sweeps
+    under one ``np.errstate(all="ignore")``. A failed LU leaves that inverse
+    NaN and hands the update to ``_solve_factor``, where a singular Gram gets
+    a ridge of ``1e-10`` (with one warning per fit). The sector and temporal
+    MTTKRPs share one contraction of the tensor with the new investor factor
+    (a dimension tree; Phan, Tichavsky & Cichocki 2013). A tensor holding non-finite values aborts before the
     first sweep, and a non-finite error aborts the fit.
 
     From sweep ``EXTRAPOLATE_FROM`` on, every even sweep also tries the
@@ -223,54 +240,52 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     # each Gram is formed once, right after its factor changes
     btb, ctc = b.T @ b, c.T @ c
     m_a = None  # the investor MTTKRP, when an accepted extrapolation formed it
-    for sweep in range(max_iter):
-        extrapolate = sweep >= EXTRAPOLATE_FROM and sweep % 2 == 0
-        start = a, b, c
-        if m_a is None:
-            m_a = unfold_0 @ khatri_rao(b, c)
-        a = _solve_factor(m_a, btb * ctc, warned)
-        m_a = None
-        ata = a.T @ a
-        # the tensor contracted with the new a, shared by both remaining MTTKRPs
-        p = (a.T @ unfold_0).reshape(rank, s, k)
-        b = _solve_factor((p @ c.T[:, :, None])[..., 0].T, ata * ctc, warned)
-        btb = b.T @ b
-        m_c = (b.T[:, None, :] @ p)[:, 0, :].T
-        c = _solve_factor(m_c, ata * btb, warned)
-        ctc = c.T @ c
+    with np.errstate(all="ignore"):
+        for sweep in range(max_iter):
+            extrapolate = sweep >= EXTRAPOLATE_FROM and sweep % 2 == 0
+            start = a, b, c
+            if m_a is None:
+                m_a = unfold_0 @ khatri_rao(b, c)
+            a = _sweep_solve(m_a, btb * ctc, warned)
+            m_a = None
+            ata = a.T @ a
+            # the tensor contracted with the new a, shared by both remaining MTTKRPs
+            p = (a.T @ unfold_0).reshape(rank, s, k)
+            b = _sweep_solve((p @ c.T[:, :, None])[..., 0].T, ata * ctc, warned)
+            btb = b.T @ b
+            m_c = (b.T[:, None, :] @ p)[:, 0, :].T
+            c = _sweep_solve(m_c, ata * btb, warned)
+            ctc = c.T @ c
 
-        # exact squared residual from Gram identities, no dense reconstruction
-        fit_sq = float(np.sum(ata * btb * ctc))
-        cross = float(np.sum(c * m_c))
-        err_sq = norm_sq - 2.0 * cross + fit_sq
-        if not math.isfinite(err_sq):
-            raise AnalysisError("ALS produced a non-finite error")
-        err_sq = max(err_sq, 0.0)
+            # exact squared residual from Gram identities, no dense reconstruction
+            err_sq = norm_sq - 2.0 * (c * m_c).sum() + (ata * btb * ctc).sum()
+            if not math.isfinite(err_sq):
+                raise AnalysisError("ALS produced a non-finite error")
+            err_sq = max(err_sq, 0.0)
 
-        if extrapolate:
-            jump = sweep ** (1.0 / power)
-            with np.errstate(all="ignore"):
+            if extrapolate:
+                jump = sweep ** (1.0 / power)
                 a_t, b_t, c_t = (x0 + jump * (x - x0) for x0, x in zip(start, (a, b, c)))
                 m_t = unfold_0 @ khatri_rao(b_t, c_t)
                 grams = a_t.T @ a_t, b_t.T @ b_t, c_t.T @ c_t
-                t_err_sq = (norm_sq - 2.0 * float(np.sum(a_t * m_t))
-                            + float(np.sum(grams[0] * grams[1] * grams[2])))
-            if math.isfinite(t_err_sq) and t_err_sq < err_sq:
-                a, b, c, m_a = a_t, b_t, c_t, m_t
-                ata, btb, ctc = grams
-                err_sq = max(t_err_sq, 0.0)
-                rejected = 0
-            else:
-                rejected += 1
-                if rejected == EXTRAPOLATE_PATIENCE:
-                    power, rejected = power + 1, 0
+                t_err_sq = (norm_sq - 2.0 * (a_t * m_t).sum()
+                            + (grams[0] * grams[1] * grams[2]).sum())
+                if math.isfinite(t_err_sq) and t_err_sq < err_sq:
+                    a, b, c, m_a = a_t, b_t, c_t, m_t
+                    ata, btb, ctc = grams
+                    err_sq = max(t_err_sq, 0.0)
+                    rejected = 0
+                else:
+                    rejected += 1
+                    if rejected == EXTRAPOLATE_PATIENCE:
+                        power, rejected = power + 1, 0
 
-        errors.append(math.sqrt(err_sq / norm_sq))
-        if prev_err_sq is not None:
-            if abs(prev_err_sq - err_sq) < tol * max(prev_err_sq, tiny):
-                converged = True
-                break
-        prev_err_sq = err_sq
+            errors.append(math.sqrt(err_sq / norm_sq))
+            if prev_err_sq is not None:
+                if abs(prev_err_sq - err_sq) < tol * max(prev_err_sq, tiny):
+                    converged = True
+                    break
+            prev_err_sq = err_sq
 
     a, b, c, weights = canonicalize(a, b, c)
     meta = tensor if isinstance(tensor, StrategyTensor) else None

@@ -339,6 +339,31 @@ class TestDistances:
             "error: distances needs profiles of 2 investor types; present: vc\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["distances", "all"])
+    def test_type_only_in_excluded_sectors_refused_before_writing(self, tmp_path, capsys,
+                                                                 command):
+        # i2 (angel) funds only s2, whose sector is excluded by default, so
+        # only vc investors get profiles although both types have rounds
+        data = tmp_path / "data"
+        data.mkdir()
+        write_csv(data / "startups.csv", ingest.STARTUP_COLUMNS, [
+            ["s1", "One", "USA", "active", "2008-01-02", "Software"],
+            ["s2", "Two", "USA", "active", "2008-01-02", "Health Care"],
+        ])
+        write_csv(data / "rounds.csv", ingest.ROUND_COLUMNS, [
+            [f"r{sid}{year}", sid, f"{year}-06-15", "seed", "1000000", iid]
+            for sid, iid in (("s1", "i1"), ("s2", "i2")) for year in (2010, 2011)
+        ])
+        write_csv(data / "investors.csv", ingest.INVESTOR_COLUMNS,
+                  [["i1", "Fund", "vc"], ["i2", "Angel", "angel"]])
+        out = tmp_path / "out"
+        code = cli.main([command, *table_flags(data, ontology=False), "--years", "2010:2011",
+                         "--r-range", "1:1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: distances needs profiles of 2 investor types; present: vc\n")
+        assert not out.exists()
+
     def test_types_without_a_shared_year(self, tmp_path, capsys):
         mixture = np.full(4, 0.25)
         config = synth.ScenarioConfig(

@@ -16,6 +16,7 @@ from sectorspace.tca import (
     DEFAULT_TOL,
     RIDGE_EPS,
     CPModel,
+    _lu_inverse,
     _max_assignment,
     _restart_seed,
     _solve_factor,
@@ -40,6 +41,13 @@ ROOT_HALF = 0.7071067811865476
 def random_unit_columns(rng, rows, rank):
     m = rng.standard_normal((rows, rank))
     return m / np.linalg.norm(m, axis=0)
+
+
+def assert_same_fit(got, expected):
+    for fa, fb in zip(got.factors, expected.factors):
+        assert fa.tobytes() == fb.tobytes()
+    assert got.component_weights.tobytes() == expected.component_weights.tobytes()
+    assert got.error_history.tobytes() == expected.error_history.tobytes()
 
 
 def random_model(seed, n=50, s=10, k=8, rank=2):
@@ -206,12 +214,7 @@ class TestCPALS:
 
     def test_same_seed_bit_identical(self):
         tensor, _ = generate_cp_tensor(15, 6, 4, 2, noise=0.05, seed=44)
-        a = cp_als(tensor, 2, seed=7)
-        b = cp_als(tensor, 2, seed=7)
-        for fa, fb in zip(a.factors, b.factors):
-            assert fa.tobytes() == fb.tobytes()
-        assert a.component_weights.tobytes() == b.component_weights.tobytes()
-        assert a.error_history.tobytes() == b.error_history.tobytes()
+        assert_same_fit(cp_als(tensor, 2, seed=7), cp_als(tensor, 2, seed=7))
 
     def test_canonical_form(self):
         tensor, _ = generate_cp_tensor(15, 6, 4, 3, noise=0.05, seed=45)
@@ -286,14 +289,70 @@ class TestCPALS:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tensor_aborts_before_first_sweep(self, bad, monkeypatch):
-        def no_sweep(*args):
+        def no_sweep(*args, **kwargs):
             raise AssertionError("an ALS sweep started")
 
         tensor, _ = generate_cp_tensor(8, 4, 3, 1, seed=47)
         tensor[2, 1, 0] = bad
-        monkeypatch.setattr("sectorspace.tca._solve_factor", no_sweep)
+        # every factor update of every sweep starts with this inverse
+        monkeypatch.setattr("sectorspace.tca._lu_inverse", no_sweep)
         with pytest.raises(AnalysisError, match="non-finite"):
             cp_als(tensor, 1, seed=0)
+
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_lu_inverse_is_numpy_inverse(self, rank):
+        """The gufunc the sweeps call gives np.linalg.inv's bits on Hadamard Grams."""
+        rng = np.random.default_rng(rank)
+        for _ in range(20):
+            b = rng.uniform(-1.0, 1.0, size=(12, rank))
+            c = rng.uniform(-1.0, 1.0, size=(14, rank))
+            gram = (b.T @ b) * (c.T @ c)
+            assert _lu_inverse(gram, signature="d->d").tobytes() == np.linalg.inv(gram).tobytes()
+
+    def test_lu_inverse_of_singular_gram_is_nan(self):
+        with np.errstate(all="ignore"):
+            inverse = _lu_inverse(np.ones((3, 3)), signature="d->d")
+        assert inverse.shape == (3, 3)
+        assert np.isnan(inverse).all()
+
+    def test_failed_inverse_falls_back_to_the_same_solve(self, monkeypatch):
+        """An inverse that comes back NaN goes to _solve_factor, whose np.linalg.inv
+        gives the same bits on a regular Gram."""
+        tensor, _ = generate_cp_tensor(15, 6, 4, 2, noise=0.05, seed=44)
+        expected = cp_als(tensor, 2, seed=7)
+        calls = []
+
+        def nan_on_fifth(gram, **kwargs):
+            calls.append(gram)
+            inverse = np.linalg.inv(gram)
+            return np.full_like(inverse, np.nan) if len(calls) == 5 else inverse
+
+        monkeypatch.setattr("sectorspace.tca._lu_inverse", nan_on_fifth)
+        got = cp_als(tensor, 2, seed=7)
+        assert len(calls) > 5
+        assert_same_fit(got, expected)
+
+    def test_fit_through_singular_grams_warns_once_per_fit(self, caplog, monkeypatch):
+        """A rank-2 fit of a 2-investor rank-1 tensor meets singular Grams in
+        several updates; each fit warns once and gives the model that
+        _solve_factor at every update gives."""
+        tensor = np.zeros((2, 4, 2))
+        tensor[0, 0], tensor[1, 0] = 1.0, -1.0
+        ridged = []
+        solve = _solve_factor
+
+        def counting(m, gram, warned):
+            ridged.append(np.linalg.cond(gram) > 1e12)
+            return solve(m, gram, warned)
+
+        monkeypatch.setattr("sectorspace.tca._solve_factor", counting)
+        with caplog.at_level("WARNING", logger="sectorspace.tca"):
+            fits = [cp_als(tensor, 2, seed=seed) for seed in range(3)]
+        assert len(self.ridge_warnings(caplog)) == 3
+        assert sum(ridged) > 3 and all(ridged)
+        monkeypatch.setattr("sectorspace.tca._sweep_solve", counting)
+        for seed, fit in enumerate(fits):
+            assert_same_fit(fit, cp_als(tensor, 2, seed=seed))
 
     @staticmethod
     def ridge_warnings(caplog):
