@@ -2,9 +2,11 @@
 
 The parsed flags are the run's settings: once the input files are checked,
 ``--exclude-sector``, ``--stage`` and ``--out`` are resolved on the argparse
-namespace, which the stage runners read. Every artifact-producing subcommand
-writes CSVs (and deterministic SVGs) under ``--out`` plus a run manifest
-with the ``ECHOED`` flags, package version and SHA-256 digests of its inputs.
+namespace, which the stage runners read; ``_refuse`` turns away, before
+``--out`` is made, each stage the accumulated input cannot answer. Every
+artifact-producing subcommand writes CSVs (and deterministic SVGs) under
+``--out`` plus a run manifest with the ``ECHOED`` flags, package version and
+SHA-256 digests of its inputs.
 Exit codes: 0 success, 1 analysis error, 2 usage error.
 """
 from __future__ import annotations
@@ -23,13 +25,13 @@ from .ingest import (
     DEFAULT_COUNTRY,
     StageClass,
     ValidatedDataset,
-    classify_stage,
     filter_startups,
     load_dataset,
     validate_dataset,
 )
 from .profiles import (
     DEFAULT_YEARS,
+    STAGE_SLOTS,
     ProfileOptions,
     SectorActivity,
     build_profiles,
@@ -113,59 +115,64 @@ def _echo(args: argparse.Namespace) -> dict:
     return echo
 
 
-def _load(args: argparse.Namespace, stages=()
-          ) -> tuple[ValidatedDataset, ValidatedDataset]:
-    """The loaded dataset and the one filtered by ``--country``.
-
-    The filtered one is checked against the flags of the ``stages`` to run:
-    every stage but ``profiles`` needs a kept round inside ``--years``,
-    ``pca`` at least ``--pca-dim`` kept sectors, ``spread`` two, ``tca``
-    kept rounds of ``--stage`` in two of those years. ``--strict-tags``
-    makes unknown tags an error.
-    """
+def _load(args: argparse.Namespace) -> tuple[ValidatedDataset, ValidatedDataset]:
+    """The loaded dataset and the one filtered by ``--country``; ``--strict-tags``
+    makes unknown tags an error."""
     raw = load_dataset(args.startups, args.rounds, args.investors, args.ontology)
     dataset = filter_startups(raw, country=args.country)
     if args.strict_tags:
         unknown = [w for w in validate_dataset(dataset) if "unknown tag" in w]
         if unknown:
             raise SectorSpaceError("strict tags: " + "; ".join(unknown))
-    if set(stages) - {"profiles"} and not any(
-            day.year in args.years for day in dataset.rounds.announced.values):
-        raise SectorSpaceError(
-            f"no round of a startup kept by --country {args.country} falls inside "
-            f"--years {args.years[0]}:{args.years[-1]}")
-    n_sectors = len(_options(args).effective_sectors(dataset.ontology))
-    if "pca" in stages and args.pca_dim > n_sectors:
-        raise SectorSpaceError(f"--pca-dim {args.pca_dim} exceeds the {n_sectors} kept sectors")
-    if "spread" in stages and n_sectors < 2:
-        raise SectorSpaceError(
-            f"spread needs 2 kept sectors for its 2-D heatmap plane; {n_sectors} kept")
-    if "tca" in stages:
-        rounds = dataset.rounds
-        staged = rounds.stage.rows_where(lambda label: args.stage in (None, classify_stage(label)))
-        n_years = len(set(rounds.year[staged].tolist()) & set(args.years))
-        if n_years < 2:
-            raise SectorSpaceError(f"tca needs kept rounds in 2 years of --years "
-                                   f"{args.years[0]}:{args.years[-1]} for its temporal "
-                                   f"factors; {n_years} kept")
     return raw, dataset
 
 
-def _need_two_types(args: argparse.Namespace, dataset: ValidatedDataset,
-                    activity: SectorActivity) -> None:
-    """Refuse ``distances`` unless the investors it profiles, those with a round
-    weight in a kept sector inside ``--years`` (any stage), have 2 types."""
-    options = _options(args)
-    in_window = np.isin(activity.years, options.years)
-    columns = [activity.ontology.index(tag)
-               for tag in options.effective_sectors(activity.ontology)]
-    profiled = (activity.rounds[:, in_window, 0][..., columns] > 0).any(axis=(1, 2))
-    investors = dataset.investor_by_id
-    present = {investors[activity.investor_ids[i]].type_label
-               for i in np.flatnonzero(profiled).tolist()}
-    if len(present) < 2:
-        raise SectorSpaceError("distances needs profiles of 2 investor types; present: "
-                               + (", ".join(sorted(present)) or "none"))
+def _refuse(args: argparse.Namespace, stages, dataset: ValidatedDataset,
+            activity: SectorActivity) -> None:
+    """Raise the first refusal of the ``stages`` to run that the accumulation answers,
+    so that no such refusal comes after ``--out`` is made; README lists them.
+
+    A profile is a ``--years`` year of an investor with round weight in a kept
+    sector (slot 0), a row ``build_profiles`` gives pca, distances and spread;
+    tca's tensor is the ``--stage`` slot over every sector. The order is fixed,
+    so ``all`` refuses as its first failing stage would.
+    """
+    window = f"--years {args.years[0]}:{args.years[-1]}"
+    in_window = np.isin(activity.years, args.years)
+    if not in_window.any() and set(stages) - {"profiles"}:
+        raise SectorSpaceError(f"no round of a startup kept by --country {args.country} "
+                               f"falls inside {window}")
+    ontology = activity.ontology
+    kept = [ontology.index(tag) for tag in _options(args).effective_sectors(ontology)]
+    profiled = (activity.rounds[:, in_window, 0][..., kept] > 0).any(-1)
+    tensor = activity.rounds[:, in_window, STAGE_SLOTS[args.stage]]
+    staged = (tensor > 0).any(-1)
+    n_investors, n_years = int(staged.any(1).sum()), int(staged.any(0).sum())
+    tensor = tensor[staged.any(1)][:, staged.any(0)]
+    types = np.array([dataset.investor_by_id[i].type_label for i in activity.investor_ids])
+    present = sorted(set(types[profiled.any(1)].tolist()))
+    checks = (
+        ("pca", args.pca_dim > len(kept),
+         f"--pca-dim {args.pca_dim} exceeds the {len(kept)} kept sectors"),
+        ("spread", len(kept) < 2,
+         f"spread needs 2 kept sectors for its 2-D heatmap plane; {len(kept)} kept"),
+        ("tca", n_years < 2, f"tca needs kept rounds in 2 years of {window} for its "
+         f"temporal factors; {n_years} kept"),
+        ("distances", len(present) < 2, "distances needs profiles of 2 investor types; "
+         "present: " + (", ".join(present) or "none")),
+        ("pca", profiled.sum() < 2, "standardize needs a matrix with at least 2 rows"
+         if profiled.any() else "no profiles to stack"),
+        ("tca", n_investors < 2, "tensor needs at least 2 investors"),
+        ("tca", args.r_range[0] > min(n_investors, ontology.n_sectors * n_years),
+         "no feasible rank in --r-range for this tensor"),
+        ("tca", (tensor == tensor[:1]).all(), "cannot decompose an all-zero tensor"),
+        ("distances", all(len(set(types[year].tolist())) < 2 for year in profiled.T),
+         "no type pair shares an active year"),
+        ("spread", (profiled.sum(0) < 2).all(), "no year has two active investors to spread"),
+    )
+    for stage, refused, message in checks:
+        if refused and stage in stages:
+            raise SectorSpaceError(message)
 
 
 def _options(args: argparse.Namespace) -> ProfileOptions:
@@ -237,8 +244,6 @@ def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
     tensor = tca.build_tensor(build_profiles(activity, options=options))
     feasible = [r for r in args.r_range if r <= min(tensor.values.shape[0],
                 tensor.values.shape[1] * tensor.values.shape[2])]
-    if not feasible:
-        raise SectorSpaceError("no feasible rank in --r-range for this tensor")
     diag = tca.rank_scan(tensor, feasible, restarts=args.restarts,
                          seed=args.seed, tol=args.tol)
     best = diag.best_models[diag.chosen_rank]
@@ -291,7 +296,7 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
                    activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     investors = dataset.investor_by_id
-    # cmd_all has checked that these are at least 2
+    # _refuse has checked that these are at least 2, and 2 of them share a year
     present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
     groups = {label: group_profiles(profiles, label, investors) for label in present}
     series_list = []
@@ -302,8 +307,6 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
                     groups[type_a], groups[type_b], f"type:{type_a}", f"type:{type_b}"))
             except SectorSpaceError:
                 continue
-    if not series_list:
-        raise SectorSpaceError("no type pair shares an active year")
     reports.write_distances(args.out / "distances.csv", series_list)
     svgplot.save_svg(
         args.out / "distances.svg",
@@ -325,8 +328,6 @@ def _run_spread(args: argparse.Namespace, dataset: ValidatedDataset,
                 activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     series = metrics.spread_series(profiles)
-    if not series:
-        raise SectorSpaceError("no year has two active investors to spread")
     model = pca.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model, *args.grid)
     reports.write_heatmaps(args.out, grid)
@@ -370,10 +371,9 @@ def cmd_all(args) -> int:
     _config(args)
     command = args.command
     names = list(_STAGES) if command == "all" else [command]
-    dataset = _load(args, names)[1]
+    dataset = _load(args)[1]
     activity = SectorActivity.from_dataset(dataset)
-    if "distances" in names:
-        _need_two_types(args, dataset, activity)
+    _refuse(args, names, dataset, activity)
     args.out.mkdir(parents=True, exist_ok=True)
     results = {name: _STAGES[name](args, dataset, activity) for name in names}
     if command != "all":

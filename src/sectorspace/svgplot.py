@@ -44,14 +44,20 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """A span that ticks cannot step through (empty, or within rounding of its
+    ends) widened to 1; any other span as it is."""
+    if hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
+        return lo - 0.5, hi + 0.5
+    return lo, hi
+
+
 class _Frame:
     """Maps data coordinates into the plot rectangle."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        if x_hi <= x_lo:
-            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-        if y_hi <= y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        x_lo, x_hi = _widened(x_lo, x_hi)
+        y_lo, y_hi = _widened(y_lo, y_hi)
         pad_x = 0.04 * (x_hi - x_lo)
         pad_y = 0.06 * (y_hi - y_lo)
         self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x

@@ -21,8 +21,8 @@ keeps one entry per ALS sweep and never rises, and sweep counts count ALS
 sweeps only.
 
 Each sweep takes its three Gram inverses from the gufunc behind
-``np.linalg.inv`` and runs under one ``np.errstate``; only a failed LU,
-which the gufunc reports as a NaN inverse, goes through the checked solve.
+``np.linalg.inv`` and runs under one ``np.errstate``; a failed LU, which the
+gufunc reports as a NaN inverse, is retried once with a ridge.
 """
 from __future__ import annotations
 
@@ -137,29 +137,20 @@ def _solve_factor(m: np.ndarray, gram: np.ndarray, warned: list[bool]) -> np.nda
     """Least-squares update ``factor @ gram = m`` for one factor.
 
     The N x R right-hand side ``m`` is multiplied by the inverse of the
-    R x R Gram. A Gram that LU finds singular gets a ridge of
-    ``RIDGE_EPS``, logged once per fit (``warned``); one that stays
-    singular after the ridge raises ``AnalysisError``.
+    R x R Gram from ``_lu_inverse``, which fills the inverse with NaN where
+    LU fails; callers run it under ``np.errstate(all="ignore")``. A Gram that
+    LU finds singular gets a ridge of ``RIDGE_EPS``, logged once per fit
+    (``warned``); one that stays singular after the ridge raises
+    ``AnalysisError``.
     """
-    try:
-        return m @ np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        pass
-    if not warned[0]:
-        logger.warning("rank-deficient ALS subproblem; applying ridge %.0e", RIDGE_EPS)
-        warned[0] = True
-    try:
-        return m @ np.linalg.inv(gram + RIDGE_EPS * np.eye(gram.shape[0]))
-    except np.linalg.LinAlgError:
-        raise AnalysisError("ALS subproblem stays singular after the ridge") from None
-
-
-def _sweep_solve(m: np.ndarray, gram: np.ndarray, warned: list[bool]) -> np.ndarray:
-    """``_solve_factor`` for a caller that ignores floating-point errors: the Gram's
-    LAPACK inverse, or, when LU fails and fills it with NaN, ``_solve_factor``."""
     inverse = _lu_inverse(gram, signature="d->d")
     if inverse[0, 0] != inverse[0, 0]:
-        return _solve_factor(m, gram, warned)
+        if not warned[0]:
+            logger.warning("rank-deficient ALS subproblem; applying ridge %.0e", RIDGE_EPS)
+            warned[0] = True
+        inverse = _lu_inverse(gram + RIDGE_EPS * np.eye(gram.shape[0]), signature="d->d")
+        if inverse[0, 0] != inverse[0, 0]:
+            raise AnalysisError("ALS subproblem stays singular after the ridge")
     return m @ inverse
 
 
@@ -194,11 +185,12 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
     factor update multiplies its MTTKRP by the inverse of its R x R Gram,
     from the LAPACK gufunc that ``np.linalg.inv`` wraps, with the sweeps
     under one ``np.errstate(all="ignore")``. A failed LU leaves that inverse
-    NaN and hands the update to ``_solve_factor``, where a singular Gram gets
-    a ridge of ``1e-10`` (with one warning per fit). The sector and temporal
-    MTTKRPs share one contraction of the tensor with the new investor factor
-    (a dimension tree; Phan, Tichavsky & Cichocki 2013). A tensor holding non-finite values aborts before the
-    first sweep, and a non-finite error aborts the fit.
+    NaN, and the Gram is inverted once more with a ridge of ``1e-10`` (with
+    one warning per fit); a Gram still singular aborts the fit. The sector
+    and temporal MTTKRPs share one contraction of the tensor with the new
+    investor factor (a dimension tree; Phan, Tichavsky & Cichocki 2013). A
+    tensor holding non-finite values aborts before the first sweep, and a
+    non-finite error aborts the fit.
 
     From sweep ``EXTRAPOLATE_FROM`` on, every even sweep also tries the
     extrapolated point ``X0 + sweep**(1/p) * (X - X0)`` of all three factors
@@ -246,15 +238,15 @@ def cp_als(tensor, rank: int, seed: int = 0, tol: float = DEFAULT_TOL,
             start = a, b, c
             if m_a is None:
                 m_a = unfold_0 @ khatri_rao(b, c)
-            a = _sweep_solve(m_a, btb * ctc, warned)
+            a = _solve_factor(m_a, btb * ctc, warned)
             m_a = None
             ata = a.T @ a
             # the tensor contracted with the new a, shared by both remaining MTTKRPs
             p = (a.T @ unfold_0).reshape(rank, s, k)
-            b = _sweep_solve((p @ c.T[:, :, None])[..., 0].T, ata * ctc, warned)
+            b = _solve_factor((p @ c.T[:, :, None])[..., 0].T, ata * ctc, warned)
             btb = b.T @ b
             m_c = (b.T[:, None, :] @ p)[:, 0, :].T
-            c = _sweep_solve(m_c, ata * btb, warned)
+            c = _solve_factor(m_c, ata * btb, warned)
             ctc = c.T @ c
 
             # exact squared residual from Gram identities, no dense reconstruction

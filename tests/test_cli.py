@@ -12,10 +12,15 @@ import importlib
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sectorspace
 from sectorspace import cli, ingest, pca, profiles, synth, tca
@@ -30,10 +35,11 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def counts_to_tables(counts, out_dir, first_year=2009):
+def counts_to_tables(counts, out_dir, first_year=2009, types=None):
     """Realize an N x S x K round-count array as loadable CSV tables.
 
     One startup per (sector, year) slot; every count becomes one round row.
+    Investor i has type ``types[i]``, by default ``vc``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -65,7 +71,8 @@ def counts_to_tables(counts, out_dir, first_year=2009):
               ["round_id", "startup_id", "announced_date", "stage_label",
                "amount_usd", "investor_ids"], round_rows)
     write_csv(out_dir / "investors.csv", ["investor_id", "name", "type_label"],
-              [[f"inv_{i:04d}", f"Investor {i}", "vc"] for i in range(n)])
+              [[f"inv_{i:04d}", f"Investor {i}", types[i] if types else "vc"]
+               for i in range(n)])
     return out_dir
 
 
@@ -194,6 +201,16 @@ class TestPcaDim:
             assert next(csv.reader(handle))[-1] == "axis6"
 
 
+class TestPca:
+    def test_one_profile_exits_before_writing(self, tmp_path, capsys):
+        data = counts_to_tables(np.ones((1, 2, 1)), tmp_path / "lone")
+        out = tmp_path / "out"
+        assert cli.main(["pca", *table_flags(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: standardize needs a matrix with at least 2 rows\n")
+        assert not out.exists()
+
+
 class TestEmptySelection:
     """A selection that keeps no round inside ``--years`` is refused before any file is written."""
 
@@ -234,6 +251,31 @@ class TestEmptySelection:
         code = cli.main(["tca", *table_flags(data), "--stage", "a", "--out", str(out)])
         assert code == 1
         assert "tca needs kept rounds in 2 years" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["all", "tca"])
+    def test_tca_does_not_count_a_year_of_unclassified_rounds(self, tmp_path, capsys,
+                                                              command):
+        # every 2011 round funds s2, whose only tag the ontology does not know
+        data = tmp_path / "data"
+        data.mkdir()
+        write_csv(data / "startups.csv", ingest.STARTUP_COLUMNS, [
+            ["s1", "One", "USA", "active", "2008-01-02", "Software"],
+            ["s2", "Two", "USA", "active", "2008-01-02", "Not A Sector"],
+        ])
+        write_csv(data / "rounds.csv", ingest.ROUND_COLUMNS, [
+            [f"r{sid}{iid}", sid, f"{year}-06-15", "seed", "1000000", iid]
+            for sid, year in (("s1", 2010), ("s2", 2011)) for iid in ("i1", "i2")
+        ])
+        write_csv(data / "investors.csv", ingest.INVESTOR_COLUMNS,
+                  [["i1", "Fund", "vc"], ["i2", "Angel", "angel"]])
+        out = tmp_path / "out"
+        code = cli.main([command, *table_flags(data, ontology=False), "--years", "2010:2011",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: tca needs kept rounds in 2 years of --years 2010:2011 for its "
+            "temporal factors; 1 kept\n")
         assert not out.exists()
 
     def test_one_year_inside_the_window_is_enough(self, smoke_dir, tmp_path, capsys):
@@ -288,10 +330,26 @@ class TestTca:
         assert {row[4] for row in rows[1:]} <= {"True", "False"}
 
     def test_infeasible_r_range(self, smoke_dir, tmp_path, capsys):
-        code = cli.main(["tca", *table_flags(smoke_dir),
-                         "--r-range", "40:50", "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "no feasible rank" in capsys.readouterr().err
+        self.check_refused(["tca", *table_flags(smoke_dir), "--r-range", "40:50"], tmp_path,
+                           capsys, "no feasible rank in --r-range for this tensor")
+
+    def test_all_refuses_an_infeasible_r_range_before_writing(self, smoke_dir, tmp_path,
+                                                              capsys):
+        self.check_refused(["all", *table_flags(smoke_dir), "--r-range", "40:50",
+                            "--years", "2008:2013"], tmp_path, capsys,
+                           "no feasible rank in --r-range for this tensor")
+
+    def test_one_investor_exits_before_writing(self, tmp_path, capsys):
+        data = counts_to_tables(np.arange(15.0).reshape(1, 3, 5) % 4 + 1, tmp_path / "lone")
+        self.check_refused(["tca", *table_flags(data)], tmp_path, capsys,
+                           "tensor needs at least 2 investors")
+
+    @staticmethod
+    def check_refused(argv, tmp_path, capsys, message):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_empty_year_window(self, smoke_dir, tmp_path, capsys):
         code = cli.main(["tca", *table_flags(smoke_dir),
@@ -308,8 +366,8 @@ class TestSpread:
         out = tmp_path / "out"
         code = cli.main(["spread", *table_flags(data), "--grid", "2x2", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists() or not any(out.iterdir())
+        assert capsys.readouterr().err == "error: no year has two active investors to spread\n"
+        assert not out.exists()
 
     def test_one_kept_sector_exits_before_writing(self, smoke_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -365,6 +423,13 @@ class TestDistances:
         assert not out.exists()
 
     def test_types_without_a_shared_year(self, tmp_path, capsys):
+        self.check_apart_refused(tmp_path, capsys, "distances")
+
+    def test_all_refuses_types_without_a_shared_year_before_writing(self, tmp_path, capsys):
+        self.check_apart_refused(tmp_path, capsys, "all")
+
+    @staticmethod
+    def check_apart_refused(tmp_path, capsys, command):
         mixture = np.full(4, 0.25)
         config = synth.ScenarioConfig(
             name="apart", years=range(2008, 2012), n_sectors=4, seed=0, archetypes=(
@@ -373,10 +438,66 @@ class TestDistances:
                 synth.ArchetypeSpec("program", "accelerator", 3, mixture, 6.0,
                                     active_window=range(2010, 2012))))
         synth.generate_ecosystem(config, tmp_path / "data")
-        code = cli.main(["distances", *table_flags(tmp_path / "data"), "--years", "2008:2011",
-                         "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = cli.main([command, *table_flags(tmp_path / "data"), "--years", "2008:2011",
+                         "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: no type pair shares an active year\n"
+        assert not out.exists()
+
+
+# refusals no accumulation can answer: the rank scan's similarity gate, a fit
+# whose Gram stays singular after the ridge, and a projection with no spread
+LATE_REFUSALS = ("no candidate rank reached model similarity",
+                 "stays singular after the ridge", "degenerate bin edges")
+
+
+@st.composite
+def small_tables(draw):
+    """Round counts of 1-3 investors (types vc or angel), 2-4 sectors and 1-3 years.
+
+    Investors share a few drawn rows, so equal investors come up often, and
+    each is active in a drawn subset of the years."""
+    n, s, k = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=s * k, max_size=s * k),
+                         min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    active = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    types = draw(st.lists(st.sampled_from(["vc", "angel"]), min_size=n, max_size=n))
+    counts = np.array([rows[p] for p in picks], dtype=float).reshape(n, s, k)
+    return counts * np.array(active)[:, None, :], types
+
+
+@settings(deadline=None, max_examples=200)
+@given(tables=small_tables(),
+       flags=st.lists(st.sampled_from([("--stage", "seed"), ("--stage", "a"),
+                                       ("--exclude-sector", "Sector 00"),
+                                       ("--years", "2010:2012"), ("--r-range", "3:3")]),
+                      unique=True))
+def test_a_refusal_leaves_nothing_behind(tables, flags):
+    """Each analysis command either writes its manifest, or exits 1 with one
+    error line and no ``--out``; only the late refusals may come after
+    ``--out`` is made."""
+    counts, types = tables
+    with tempfile.TemporaryDirectory() as tmp:
+        data = counts_to_tables(counts, Path(tmp) / "data", types=types)
+        for command in ("pca", "tca", "distances", "spread", "all"):
+            out = Path(tmp) / command
+            argv = [command, *table_flags(data), "--r-range", "1:2", "--restarts", "2",
+                    "--grid", "3x3", *(flag for pair in flags for flag in pair),
+                    "--out", str(out)]
+            with redirect_stderr(StringIO()) as err:
+                code = cli.main(argv)
+            if code == 0:
+                assert (out / f"manifest_{command}.json").is_file()
+                continue
+            assert code == 1
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith("error: ")]
+            assert len(errors) == 1
+            if not any(late in errors[0] for late in LATE_REFUSALS):
+                assert not out.exists(), (command, errors[0])
 
 
 EXPECTED_ALL = [

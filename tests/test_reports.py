@@ -592,6 +592,15 @@ class TestCharts:
         svg = svgplot.scatter_chart([("Energy", 0.1, -0.2), ("Media", -0.3, 0.4)])
         assert ">Energy</text>" in svg and ">Media</text>" in svg
 
+    def test_span_within_rounding_is_widened(self):
+        # ticks step by a fifth of the span, which one ulp at 0.7 cannot advance
+        lo = 0.7071067811865475
+        hi = float(np.nextafter(lo, 1.0))
+        frame = svgplot._Frame(lo, hi, 0.0, 1.0)
+        assert frame.x_hi - frame.x_lo > 1.0
+        svg = svgplot.scatter_chart([("Energy", lo, 0.1), ("Media", hi, 0.2)])
+        assert ">Energy</text>" in svg and ">Media</text>" in svg
+
     def test_heatmap_skips_empty_cells(self):
         counts = np.array([[2.0, 0.0], [0.0, 1.0]])
         svg = svgplot.heatmap_chart(

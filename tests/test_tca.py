@@ -315,11 +315,10 @@ class TestCPALS:
         assert inverse.shape == (3, 3)
         assert np.isnan(inverse).all()
 
-    def test_failed_inverse_falls_back_to_the_same_solve(self, monkeypatch):
-        """An inverse that comes back NaN goes to _solve_factor, whose np.linalg.inv
-        gives the same bits on a regular Gram."""
+    def test_failed_inverse_takes_the_ridge(self, caplog, monkeypatch):
+        """An inverse that comes back NaN is retried once, on the Gram plus the
+        ridge, with one warning."""
         tensor, _ = generate_cp_tensor(15, 6, 4, 2, noise=0.05, seed=44)
-        expected = cp_als(tensor, 2, seed=7)
         calls = []
 
         def nan_on_fifth(gram, **kwargs):
@@ -328,29 +327,41 @@ class TestCPALS:
             return np.full_like(inverse, np.nan) if len(calls) == 5 else inverse
 
         monkeypatch.setattr("sectorspace.tca._lu_inverse", nan_on_fifth)
-        got = cp_als(tensor, 2, seed=7)
-        assert len(calls) > 5
-        assert_same_fit(got, expected)
+        with caplog.at_level("WARNING", logger="sectorspace.tca"):
+            model = cp_als(tensor, 2, seed=7)
+        assert len(self.ridge_warnings(caplog)) == 1
+        assert len(calls) > 6
+        assert calls[5].tobytes() == (calls[4] + RIDGE_EPS * np.eye(2)).tobytes()
+        assert np.isfinite(model.error_history).all()
 
     def test_fit_through_singular_grams_warns_once_per_fit(self, caplog, monkeypatch):
         """A rank-2 fit of a 2-investor rank-1 tensor meets singular Grams in
-        several updates; each fit warns once and gives the model that
-        _solve_factor at every update gives."""
+        several updates; each fit warns once and gives the model that an
+        inverse from np.linalg.inv, NaN where it raises, gives."""
         tensor = np.zeros((2, 4, 2))
         tensor[0, 0], tensor[1, 0] = 1.0, -1.0
-        ridged = []
-        solve = _solve_factor
+        failed = []
+        lu_inverse = _lu_inverse
 
-        def counting(m, gram, warned):
-            ridged.append(np.linalg.cond(gram) > 1e12)
-            return solve(m, gram, warned)
+        def counting(gram, **kwargs):
+            inverse = lu_inverse(gram, **kwargs)
+            if np.isnan(inverse).any():
+                failed.append(np.linalg.cond(gram) > 1e12)
+            return inverse
 
-        monkeypatch.setattr("sectorspace.tca._solve_factor", counting)
+        monkeypatch.setattr("sectorspace.tca._lu_inverse", counting)
         with caplog.at_level("WARNING", logger="sectorspace.tca"):
             fits = [cp_als(tensor, 2, seed=seed) for seed in range(3)]
         assert len(self.ridge_warnings(caplog)) == 3
-        assert sum(ridged) > 3 and all(ridged)
-        monkeypatch.setattr("sectorspace.tca._sweep_solve", counting)
+        assert len(failed) > 3 and all(failed)
+
+        def reference(gram, **kwargs):
+            try:
+                return np.linalg.inv(gram)
+            except np.linalg.LinAlgError:
+                return np.full_like(gram, np.nan)
+
+        monkeypatch.setattr("sectorspace.tca._lu_inverse", reference)
         for seed, fit in enumerate(fits):
             assert_same_fit(fit, cp_als(tensor, 2, seed=seed))
 
@@ -363,7 +374,7 @@ class TestCPALS:
         m = rng.standard_normal((4, 6)) @ rng.standard_normal((6, 2))
         singular = np.ones((2, 2))
         warned = [False]
-        with caplog.at_level("WARNING", logger="sectorspace.tca"):
+        with caplog.at_level("WARNING", logger="sectorspace.tca"), np.errstate(all="ignore"):
             solutions = [_solve_factor(m, singular, warned) for _ in range(3)]
         assert len(self.ridge_warnings(caplog)) == 1
         ridged = singular + RIDGE_EPS * np.eye(2)
@@ -373,7 +384,7 @@ class TestCPALS:
 
     def test_gram_singular_after_ridge_raises(self, caplog):
         # at 1e20 the ridge vanishes in rounding, so the Gram stays singular
-        with caplog.at_level("WARNING", logger="sectorspace.tca"):
+        with caplog.at_level("WARNING", logger="sectorspace.tca"), np.errstate(all="ignore"):
             with pytest.raises(AnalysisError, match="stays singular after the ridge"):
                 _solve_factor(np.ones((3, 2)), np.ones((2, 2)) * 1e20, [False])
         assert len(self.ridge_warnings(caplog)) == 1
