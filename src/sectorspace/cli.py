@@ -2,22 +2,23 @@
 
 The parsed flags are the run's settings: once the input files are checked,
 ``--exclude-sector``, ``--stage`` and ``--out`` are resolved on the argparse
-namespace, which the stage runners read; ``_refuse`` turns away, before
-``--out`` is made, each stage the accumulated input cannot answer. Every
-artifact-producing subcommand writes CSVs (and deterministic SVGs) under
-``--out`` plus a run manifest with the ``ECHOED`` flags, package version and
-SHA-256 digests of its inputs.
+namespace, which the stage runners read. Each stage runner refuses, with one
+error, what its own tables cannot answer. Every artifact-producing subcommand
+writes CSVs (and deterministic SVGs) plus a run manifest with the ``ECHOED``
+flags, package version and SHA-256 digests of its inputs; they reach ``--out``
+only when every stage has succeeded.
 Exit codes: 0 success, 1 analysis error, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import metrics, pca, reports, svgplot, synth, tca
 from .errors import SectorSpaceError
@@ -31,7 +32,6 @@ from .ingest import (
 )
 from .profiles import (
     DEFAULT_YEARS,
-    STAGE_SLOTS,
     ProfileOptions,
     SectorActivity,
     build_profiles,
@@ -51,10 +51,10 @@ STAGE_FLAGS = {
 
 def _parse_range(text: str, minimum: int | None = None) -> range:
     """Inclusive ``FIRST:LAST`` range; a lone ``N`` means ``N:N``."""
-    lo, _, hi = text.partition(":")
+    lo, colon, hi = text.partition(":")
     try:
         first = int(lo)
-        last = int(hi) if hi else first
+        last = int(hi) if colon else first
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected FIRST:LAST")
     if last < first:
@@ -127,54 +127,6 @@ def _load(args: argparse.Namespace) -> tuple[ValidatedDataset, ValidatedDataset]
     return raw, dataset
 
 
-def _refuse(args: argparse.Namespace, stages, dataset: ValidatedDataset,
-            activity: SectorActivity) -> None:
-    """Raise the first refusal of the ``stages`` to run that the accumulation answers,
-    so that no such refusal comes after ``--out`` is made; README lists them.
-
-    A profile is a ``--years`` year of an investor with round weight in a kept
-    sector (slot 0), a row ``build_profiles`` gives pca, distances and spread;
-    tca's tensor is the ``--stage`` slot over every sector. The order is fixed,
-    so ``all`` refuses as its first failing stage would.
-    """
-    window = f"--years {args.years[0]}:{args.years[-1]}"
-    in_window = np.isin(activity.years, args.years)
-    if not in_window.any() and set(stages) - {"profiles"}:
-        raise SectorSpaceError(f"no round of a startup kept by --country {args.country} "
-                               f"falls inside {window}")
-    ontology = activity.ontology
-    kept = [ontology.index(tag) for tag in _options(args).effective_sectors(ontology)]
-    profiled = (activity.rounds[:, in_window, 0][..., kept] > 0).any(-1)
-    tensor = activity.rounds[:, in_window, STAGE_SLOTS[args.stage]]
-    staged = (tensor > 0).any(-1)
-    n_investors, n_years = int(staged.any(1).sum()), int(staged.any(0).sum())
-    tensor = tensor[staged.any(1)][:, staged.any(0)]
-    types = np.array([dataset.investor_by_id[i].type_label for i in activity.investor_ids])
-    present = sorted(set(types[profiled.any(1)].tolist()))
-    checks = (
-        ("pca", args.pca_dim > len(kept),
-         f"--pca-dim {args.pca_dim} exceeds the {len(kept)} kept sectors"),
-        ("spread", len(kept) < 2,
-         f"spread needs 2 kept sectors for its 2-D heatmap plane; {len(kept)} kept"),
-        ("tca", n_years < 2, f"tca needs kept rounds in 2 years of {window} for its "
-         f"temporal factors; {n_years} kept"),
-        ("distances", len(present) < 2, "distances needs profiles of 2 investor types; "
-         "present: " + (", ".join(present) or "none")),
-        ("pca", profiled.sum() < 2, "standardize needs a matrix with at least 2 rows"
-         if profiled.any() else "no profiles to stack"),
-        ("tca", n_investors < 2, "tensor needs at least 2 investors"),
-        ("tca", args.r_range[0] > min(n_investors, ontology.n_sectors * n_years),
-         "no feasible rank in --r-range for this tensor"),
-        ("tca", (tensor == tensor[:1]).all(), "cannot decompose an all-zero tensor"),
-        ("distances", all(len(set(types[year].tolist())) < 2 for year in profiled.T),
-         "no type pair shares an active year"),
-        ("spread", (profiled.sum(0) < 2).all(), "no year has two active investors to spread"),
-    )
-    for stage, refused, message in checks:
-        if refused and stage in stages:
-            raise SectorSpaceError(message)
-
-
 def _options(args: argparse.Namespace) -> ProfileOptions:
     return ProfileOptions(
         exclude_sectors=frozenset(args.exclude_sectors),
@@ -199,34 +151,37 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _run_profiles(args: argparse.Namespace, dataset: ValidatedDataset,
+def _run_profiles(args: argparse.Namespace, out: Path, dataset: ValidatedDataset,
                   activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=_options(args))
-    reports.write_profiles(args.out / "profiles.csv", profiles)
+    reports.write_profiles(out / "profiles.csv", profiles)
     return {"profiles": len(profiles)}
 
 
-def _run_pca(args: argparse.Namespace, dataset: ValidatedDataset,
-            activity: SectorActivity) -> dict:
+def _run_pca(args: argparse.Namespace, out: Path, dataset: ValidatedDataset,
+             activity: SectorActivity) -> dict:
     options = _options(args)
     profiles = build_profiles(activity, options=replace(options, stage_filter=None))
+    if args.pca_dim > len(profiles.sectors):
+        raise SectorSpaceError(f"--pca-dim {args.pca_dim} exceeds the "
+                               f"{len(profiles.sectors)} kept sectors")
     model = pca.fit_on_profiles(profiles, args.pca_dim)
-    reports.write_pca_loadings(args.out / "pca_loadings.csv", model, profiles.sectors)
+    reports.write_pca_loadings(out / "pca_loadings.csv", model, profiles.sectors)
 
     trajectories = {"all": pca.barycenter_trajectory(profiles, model)}
     for stage, stage_profiles in stage_partition(activity, options=options).items():
         if stage_profiles:
             trajectories[stage.value] = pca.barycenter_trajectory(stage_profiles, model)
-    reports.write_trajectory(args.out / "trajectory.csv", trajectories)
+    reports.write_trajectory(out / "trajectory.csv", trajectories)
 
     svgplot.save_svg(
-        args.out / "pca_sectors.svg",
+        out / "pca_sectors.svg",
         svgplot.scatter_chart(pca.sector_positions(model, profiles.sectors),
                               title="Sector loadings"),
     )
     for label, points in trajectories.items():
         svgplot.save_svg(
-            args.out / f"trajectory_{label}.svg",
+            out / f"trajectory_{label}.svg",
             svgplot.trajectory_chart(
                 [(p.year, float(p.coords[0]), float(p.coords[1])) for p in points],
                 title=f"Barycenter trajectory ({label})",
@@ -238,17 +193,24 @@ def _run_pca(args: argparse.Namespace, dataset: ValidatedDataset,
     }
 
 
-def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
-            activity: SectorActivity) -> dict:
+def _run_tca(args: argparse.Namespace, out: Path, dataset: ValidatedDataset,
+             activity: SectorActivity) -> dict:
     options = replace(_options(args), exclude_sectors=frozenset())
-    tensor = tca.build_tensor(build_profiles(activity, options=options))
-    feasible = [r for r in args.r_range if r <= min(tensor.values.shape[0],
-                tensor.values.shape[1] * tensor.values.shape[2])]
+    profiles = build_profiles(activity, options=options)
+    n_years = len(set(profiles.years.tolist()))
+    if n_years < 2:
+        raise SectorSpaceError(f"tca needs kept rounds in 2 years of --years {args.years[0]}:"
+                               f"{args.years[-1]} for its temporal factors; {n_years} kept")
+    tensor = tca.build_tensor(profiles)
+    n, s, k = tensor.shape
+    feasible = [r for r in args.r_range if r <= min(n, s * k)]
+    if not feasible:
+        raise SectorSpaceError("no feasible rank in --r-range for this tensor")
     diag = tca.rank_scan(tensor, feasible, restarts=args.restarts,
                          seed=args.seed, tol=args.tol)
     best = diag.best_models[diag.chosen_rank]
-    reports.write_tca_diagnostics(args.out / "tca_diagnostics.csv", diag)
-    reports.write_tca_factors(args.out / "tca_factors.csv", best)
+    reports.write_tca_diagnostics(out / "tca_diagnostics.csv", diag)
+    reports.write_tca_factors(out / "tca_factors.csv", best)
 
     tables = {}
     for component in range(best.rank):
@@ -258,10 +220,10 @@ def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
         ):
             rows.append((iid, dataset.investor_by_id[iid].name, type_label, value))
         tables[component + 1] = rows
-    reports.write_top_investors(args.out / "top_investors.csv", tables)
+    reports.write_top_investors(out / "top_investors.csv", tables)
 
     svgplot.save_svg(
-        args.out / "tca_error.svg",
+        out / "tca_error.svg",
         svgplot.line_chart(
             [("best error", list(diag.ranks),
               [diag.best_error[r] for r in diag.ranks]),
@@ -272,7 +234,7 @@ def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
     )
     year_axis = [float(y) for y in best.years]
     svgplot.save_svg(
-        args.out / "tca_temporal.svg",
+        out / "tca_temporal.svg",
         svgplot.line_chart(
             [(f"component {r + 1}", year_axis,
               list(best.temporal_factors[:, r])) for r in range(best.rank)],
@@ -281,7 +243,7 @@ def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
     )
     for r in range(best.rank):
         svgplot.save_svg(
-            args.out / f"tca_sector_{r + 1}.svg",
+            out / f"tca_sector_{r + 1}.svg",
             svgplot.bar_chart(list(best.sectors), list(best.sector_factors[:, r]),
                               title=f"Sector factor, component {r + 1}"),
         )
@@ -292,12 +254,14 @@ def _run_tca(args: argparse.Namespace, dataset: ValidatedDataset,
     }
 
 
-def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
+def _run_distances(args: argparse.Namespace, out: Path, dataset: ValidatedDataset,
                    activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
     investors = dataset.investor_by_id
-    # _refuse has checked that these are at least 2, and 2 of them share a year
     present = sorted({investors[iid].type_label for iid in profiles.investor_ids.tolist()})
+    if len(present) < 2:
+        raise SectorSpaceError("distances needs profiles of 2 investor types; present: "
+                               + (", ".join(present) or "none"))
     groups = {label: group_profiles(profiles, label, investors) for label in present}
     series_list = []
     for i, type_a in enumerate(present):
@@ -307,9 +271,11 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
                     groups[type_a], groups[type_b], f"type:{type_a}", f"type:{type_b}"))
             except SectorSpaceError:
                 continue
-    reports.write_distances(args.out / "distances.csv", series_list)
+    if not series_list:
+        raise SectorSpaceError("no type pair shares an active year")
+    reports.write_distances(out / "distances.csv", series_list)
     svgplot.save_svg(
-        args.out / "distances.svg",
+        out / "distances.svg",
         svgplot.line_chart(
             [(f"{s.label_a} vs {s.label_b}",
               [float(y) for y in s.years], list(s.distances)) for s in series_list],
@@ -324,22 +290,27 @@ def _run_distances(args: argparse.Namespace, dataset: ValidatedDataset,
     }
 
 
-def _run_spread(args: argparse.Namespace, dataset: ValidatedDataset,
+def _run_spread(args: argparse.Namespace, out: Path, dataset: ValidatedDataset,
                 activity: SectorActivity) -> dict:
     profiles = build_profiles(activity, options=replace(_options(args), stage_filter=None))
+    if len(profiles.sectors) < 2:
+        raise SectorSpaceError("spread needs 2 kept sectors for its 2-D heatmap plane; "
+                               f"{len(profiles.sectors)} kept")
     series = metrics.spread_series(profiles)
+    if not series:
+        raise SectorSpaceError("no year has two active investors to spread")
     model = pca.fit_on_profiles(profiles, 2)
     grid = metrics.heatmap_grid(profiles, model, *args.grid)
-    reports.write_heatmaps(args.out, grid)
+    reports.write_heatmaps(out, grid)
     for year in sorted(grid.counts):
         svgplot.save_svg(
-            args.out / f"heatmap_{year}.svg",
+            out / f"heatmap_{year}.svg",
             svgplot.heatmap_chart(grid.counts[year], grid.x_edges, grid.y_edges,
                                   title=f"Strategy density {year}"),
         )
-    reports.write_spread(args.out / "spread.csv", series)
+    reports.write_spread(out / "spread.csv", series)
     svgplot.save_svg(
-        args.out / "spread.svg",
+        out / "spread.svg",
         svgplot.line_chart(
             [("mean distance", [float(e[0]) for e in series],
               [e[1] for e in series])],
@@ -366,22 +337,40 @@ _STAGES = {
 
 
 def cmd_all(args) -> int:
-    """Run every stage for ``all``, or the one a stage command names; a stage command's
-    manifest holds that stage's results alone."""
+    """Run every stage for ``all``, in ``_STAGES`` order, or the one a stage command
+    names; a stage command's manifest holds that stage's results alone.
+
+    The stages and the manifest write into a staging directory beside ``--out``,
+    whose files move into ``--out`` only once the manifest is written; so a run
+    that fails leaves ``--out`` as it was, and ``all`` fails as its first failing
+    stage does.
+    """
     _config(args)
     command = args.command
     names = list(_STAGES) if command == "all" else [command]
     dataset = _load(args)[1]
     activity = SectorActivity.from_dataset(dataset)
-    _refuse(args, names, dataset, activity)
-    args.out.mkdir(parents=True, exist_ok=True)
-    results = {name: _STAGES[name](args, dataset, activity) for name in names}
-    if command != "all":
-        results = results[command]
-    inputs = {name: getattr(args, name) for name in INPUT_FLAGS
-              if getattr(args, name) is not None}
-    reports.write_manifest(args.out / f"manifest_{command}.json", command, _echo(args),
-                           inputs, results)
+    if names != ["profiles"] and not set(activity.years.tolist()) & set(args.years):
+        raise SectorSpaceError(f"no round of a startup kept by --country {args.country} "
+                               f"falls inside --years {args.years[0]}:{args.years[-1]}")
+    home = args.out.absolute().parent  # the nearest existing ancestor of --out
+    while not home.is_dir():
+        home = home.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{args.out.name}.", dir=home))
+    try:
+        results = {name: _STAGES[name](args, staging, dataset, activity) for name in names}
+        if command != "all":
+            results = results[command]
+        inputs = {name: getattr(args, name) for name in INPUT_FLAGS
+                  if getattr(args, name) is not None}
+        reports.write_manifest(staging / f"manifest_{command}.json", command, _echo(args),
+                               inputs, results)
+        args.out.mkdir(parents=True, exist_ok=True)
+        # the manifest moves last, so a new manifest in --out vouches for every file
+        for path in sorted(staging.iterdir(), key=lambda path: path.name.startswith("manifest_")):
+            os.replace(path, args.out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(f"{command}: wrote artifacts to {args.out}")
     return 0
 

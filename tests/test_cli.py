@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sectorspace
@@ -139,6 +139,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["tca", "--r-range", "0:3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--years", "2010:"), ("--r-range", "3:")])
+    def test_trailing_colon_is_a_bad_range(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["all", flag, value])
+        assert exc.value.code == 2
+        assert f"bad range {value!r}" in capsys.readouterr().err
 
     def test_bad_grid(self):
         with pytest.raises(SystemExit) as exc:
@@ -381,21 +388,25 @@ class TestSpread:
 
 class TestDistances:
     def test_one_investor_type_is_named(self, tmp_path, capsys):
-        self.check_one_type_refused(tmp_path, capsys, "distances")
+        self.check_one_type_refused(tmp_path, capsys, "distances",
+                                    "distances needs profiles of 2 investor types; present: vc")
 
-    def test_all_refuses_one_type_before_writing(self, tmp_path, capsys):
-        self.check_one_type_refused(tmp_path, capsys, "all")
+    @pytest.mark.parametrize("command", ["tca", "all"])
+    def test_tca_gate_refuses_first(self, tmp_path, capsys, command):
+        # no rank reaches the similarity gate, and all runs tca before distances
+        self.check_one_type_refused(tmp_path, capsys, command,
+                                    "no candidate rank reached model similarity >= 0.8; "
+                                    "review the threshold or widen the scan")
 
     @staticmethod
-    def check_one_type_refused(tmp_path, capsys, command):
+    def check_one_type_refused(tmp_path, capsys, command, message):
         data = tmp_path / "data"
         synth.generate_ecosystem(synth.baseline_scenario(seed=0, n_investors=4, rate=4.0), data)
         out = tmp_path / "out"
         code = cli.main([command, *table_flags(data), "--years", "2006:2015", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: distances needs profiles of 2 investor types; present: vc\n")
-        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["data"]
 
     @pytest.mark.parametrize("command", ["distances", "all"])
     def test_type_only_in_excluded_sectors_refused_before_writing(self, tmp_path, capsys,
@@ -446,10 +457,9 @@ class TestDistances:
         assert not out.exists()
 
 
-# refusals no accumulation can answer: the rank scan's similarity gate, a fit
-# whose Gram stays singular after the ridge, and a projection with no spread
-LATE_REFUSALS = ("no candidate rank reached model similarity",
-                 "stays singular after the ridge", "degenerate bin edges")
+# two investors whose rows are opposite: the rank-2 fit's Gram stays singular
+# after the ridge
+OPPOSITE_ROWS = np.array([[[0, 1, 1], [1, 0, 0]], [[1, 0, 0], [0, 1, 1]]], dtype=float)
 
 
 @st.composite
@@ -475,10 +485,11 @@ def small_tables(draw):
                                        ("--exclude-sector", "Sector 00"),
                                        ("--years", "2010:2012"), ("--r-range", "3:3")]),
                       unique=True))
+@example(tables=(OPPOSITE_ROWS, ["vc", "angel"]), flags=[])
+@example(tables=(np.ones((2, 2, 2)), ["vc", "angel"]), flags=[])  # degenerate bin edges
 def test_a_refusal_leaves_nothing_behind(tables, flags):
     """Each analysis command either writes its manifest, or exits 1 with one
-    error line and no ``--out``; only the late refusals may come after
-    ``--out`` is made."""
+    error line and no ``--out``, even when only a fit or a projection refuses."""
     counts, types = tables
     with tempfile.TemporaryDirectory() as tmp:
         data = counts_to_tables(counts, Path(tmp) / "data", types=types)
@@ -496,8 +507,24 @@ def test_a_refusal_leaves_nothing_behind(tables, flags):
             errors = [line for line in err.getvalue().splitlines()
                       if line.startswith("error: ")]
             assert len(errors) == 1
-            if not any(late in errors[0] for late in LATE_REFUSALS):
-                assert not out.exists(), (command, errors[0])
+            assert not out.exists(), (command, errors[0])
+            assert not list(Path(tmp).glob(f".{command}.*")), (command, errors[0])
+
+
+def test_a_refused_all_keeps_an_old_out(tmp_path, capsys):
+    """A refusal that comes late in the run leaves an existing ``--out`` as it was,
+    and no staging directory beside it."""
+    data = counts_to_tables(OPPOSITE_ROWS, tmp_path / "data", types=["vc", "angel"])
+    out = tmp_path / "out"
+    out.mkdir()
+    old = {"profiles.csv": b"investor_id,year\nold,2000\n", "notes.txt": b"kept\n"}
+    for name, content in old.items():
+        (out / name).write_bytes(content)
+    assert cli.main(["all", *table_flags(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: ALS subproblem stays singular after the ridge\n")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == old
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data", "out"]
 
 
 EXPECTED_ALL = [
@@ -523,6 +550,7 @@ class TestAll:
     def test_full_artifact_set(self, smoke_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.run_all(smoke_dir, out) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging directory left
         names = sorted(p.name for p in out.iterdir())
         for name in EXPECTED_ALL:
             assert name in names, name
